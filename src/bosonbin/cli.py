@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .binning import bin_probabilities, make_partition, most_probable_bin
-from .distribution import ParticleStatistics, full_distribution
+from .distribution import full_distribution
 from .experiments import ExperimentConfig, EXPERIMENTS, run_experiment
 from .fock import CapacityError, DEFAULT_ENUMERATION_LIMIT, parse_configuration
 from .io import atomic_write_text, read_json

@@ -19,6 +19,7 @@ import numpy as np
 
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
+    ExpansionStep,
     FockSpace,
     enumerate_configurations,
     format_configuration,
@@ -29,6 +30,8 @@ from .io import atomic_write_text
 from .linalg import _as_matrix, determinant, permanent_ryser, submatrix
 
 NORMALIZATION_GUARD = 1e-6
+# seeds per kernel call in scans over many seeds
+SCAN_BLOCK = 16
 
 
 class ParticleStatistics(Enum):
@@ -50,90 +53,36 @@ class ParticleStatistics(Enum):
             raise ValueError(f"unknown particle statistics {text!r}") from None
 
 
-_SUBSET_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _expand(
+    weights: np.ndarray, columns: np.ndarray, steps: Sequence[ExpansionStep], fermion: bool = False
+) -> np.ndarray:
+    """Coefficient of x^r in prod_k (sum_i weights[i, c_k] x_i) for every
+    last-degree row r of `steps` and every column list c in `columns`;
+    shape (rows, block).
 
-
-def _subset_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator matrix (2^n - 1, n) of nonempty column subsets and the
-    inclusion-exclusion signs (-1)^n (-1)^|S| per subset."""
-    cached = _SUBSET_CACHE.get(n)
-    if cached is None:
-        subsets = np.arange(1, 1 << n, dtype=np.int64)
-        bits = ((subsets[:, None] >> np.arange(n)) & 1).astype(np.float64)
-        signs = np.where(bits.sum(axis=1) % 2 == 1, -1.0, 1.0)
-        if n % 2:
-            signs = -signs
-        cached = (bits, signs)
-        _SUBSET_CACHE[n] = cached
-    return cached
-
-
-def _batch_permanents(matrix: np.ndarray, seed_rows: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Per(matrix_{s,r}) for a block of seeds s and every outcome r at once.
-
-    With v_S the per-mode sums of a seed's columns over subset S,
-    Per(matrix_{s,r}) = (-1)^N sum_S (-1)^{|S|} prod_i v_S[i]^{r_i}. Since
-    r assigns each photon a mode, the product is a chain of N gathered rows
-    of v (exact integer powers, no transcendentals). Returns shape
-    (space.size, len(seed_rows)); summation order is fixed, so results are
-    bit-reproducible.
+    Degree k is built from degree k - 1 by one term per distinct mode m of
+    each row, weights[m, c_{k-1}] times the coefficient of the row without
+    m. With `fermion` the placements anticommute: the photon at sorted
+    position p of a degree-k row carries the Laplace sign (-1)^(k-1-p), so
+    over rows of distinct modes the coefficient is det(weights[r, c]). Each
+    column is computed on its own by elementwise steps in a fixed order, so
+    it does not depend on the rest of the block.
     """
-    seed_rows = np.atleast_2d(np.asarray(seed_rows, dtype=np.int64))
-    bits, signs = _subset_masks(space.photons)
-    n_subsets = bits.shape[0]
-    mode_range = np.arange(space.modes)
-    v_parts = [matrix[:, np.repeat(mode_range, row)] @ bits.T for row in seed_rows]
-    v = np.concatenate(v_parts, axis=1) if len(v_parts) > 1 else v_parts[0]
-    combos = space.mode_combos
-    prod = v[combos[:, 0], :].copy()
-    for p in range(1, space.photons):
-        prod *= v[combos[:, p], :]
-    out_signs = signs.astype(np.complex128) if np.iscomplexobj(prod) else signs
-    per = prod.reshape(space.size, len(seed_rows), n_subsets) @ out_signs
-    return per
-
-
-def _permanents_for_seed(matrix: np.ndarray, seed: Sequence[int], space: FockSpace) -> np.ndarray:
-    return _batch_permanents(matrix, np.asarray(seed, dtype=np.int64), space)[:, 0]
-
-
-def _boson_probabilities(matrix: np.ndarray, seed: Sequence[int], space: FockSpace) -> np.ndarray:
-    per = _permanents_for_seed(np.asarray(matrix, dtype=np.complex128), seed, space)
-    seed_fact = 1.0
-    for v in seed:
-        seed_fact *= math.factorial(int(v))
-    return (per.real**2 + per.imag**2) / (seed_fact * space.factorial_products)
-
-
-def _distinguishable_probabilities(
-    matrix: np.ndarray, seed: Sequence[int], space: FockSpace
-) -> np.ndarray:
-    q = np.abs(np.asarray(matrix)) ** 2
-    per = _permanents_for_seed(q, seed, space)
-    # inclusion-exclusion can leave tiny negatives where the true value is ~0
-    return np.maximum(per, 0.0) / space.factorial_products
-
-
-def _fermion_probabilities(matrix: np.ndarray, seed: Sequence[int], space: FockSpace) -> np.ndarray:
-    if not is_collision_free(seed):
-        raise ValueError("fermion seeds must be collision-free")
-    cols = np.flatnonzero(np.asarray(seed, dtype=np.int64))
-    w = np.asarray(matrix, dtype=np.complex128)[:, cols]
-    mats = w[space.collision_free_positions, :]
-    dets = np.linalg.det(mats)
-    probs = np.zeros(space.size)
-    probs[space.collision_free_indices] = dets.real**2 + dets.imag**2
-    return probs
-
-
-def _probabilities_for_seed(
-    matrix: np.ndarray, seed: Sequence[int], space: FockSpace, statistics: ParticleStatistics
-) -> np.ndarray:
-    if statistics is ParticleStatistics.BOSON:
-        return _boson_probabilities(matrix, seed, space)
-    if statistics is ParticleStatistics.DISTINGUISHABLE:
-        return _distinguishable_probabilities(matrix, seed, space)
-    return _fermion_probabilities(matrix, seed, space)
+    block = len(columns)
+    coef = np.ones((1, block), dtype=weights.dtype)
+    for k, step in enumerate(steps, start=1):
+        w = weights[:, columns[:, k - 1]]
+        prev = np.concatenate([coef, np.zeros((1, block), dtype=coef.dtype)])
+        for p in range(k):
+            term = w[step.modes[:, p]] * prev[step.predecessors[:, p]]
+            negate = fermion and (k - 1 - p) % 2 == 1
+            if p == 0:
+                coef = -term if negate else term
+            elif negate:
+                coef -= term
+            else:
+                coef += term
+    return coef
 
 
 def _batch_probabilities(
@@ -142,18 +91,35 @@ def _batch_probabilities(
     space: FockSpace,
     statistics: ParticleStatistics,
 ) -> np.ndarray:
-    """Probabilities for a block of seeds, one column per seed; (size, block)."""
-    rows = space.occupations[seed_indices].astype(np.int64)
+    """Probabilities for a block of seeds, one column per seed; (size, block).
+
+    Raises RuntimeError if a seed's column misses normalization by more
+    than NORMALIZATION_GUARD.
+    """
+    seed_indices = np.asarray(seed_indices, dtype=np.intp)
+    columns = space.mode_combos[seed_indices]
+    matrix = np.asarray(matrix)
     if statistics is ParticleStatistics.BOSON:
-        per = _batch_permanents(np.asarray(matrix, dtype=np.complex128), rows, space)
-        s_facts = space.factorial_products[seed_indices]
-        return (per.real**2 + per.imag**2) / (s_facts[None, :] * space.factorial_products[:, None])
-    if statistics is ParticleStatistics.DISTINGUISHABLE:
-        q = np.abs(np.asarray(matrix)) ** 2
-        per = _batch_permanents(q, rows, space)
-        return np.maximum(per, 0.0) / space.factorial_products[:, None]
-    cols = [_fermion_probabilities(matrix, tuple(int(v) for v in r), space) for r in rows]
-    return np.stack(cols, axis=1)
+        coef = _expand(matrix.astype(np.complex128, copy=False), columns, space.expansion_steps)
+        probs = (coef.real**2 + coef.imag**2) * (
+            space.factorial_products[:, None] / space.factorial_products[seed_indices]
+        )
+    elif statistics is ParticleStatistics.DISTINGUISHABLE:
+        probs = _expand(np.abs(matrix) ** 2, columns, space.expansion_steps)
+    else:
+        if (columns[:, 1:] == columns[:, :-1]).any():
+            raise ValueError("fermion seeds must be collision-free")
+        coef = _expand(matrix.astype(np.complex128, copy=False), columns, space.fermion_steps, fermion=True)
+        probs = np.zeros((space.size, len(columns)))
+        probs[space.collision_free_indices] = coef.real**2 + coef.imag**2
+    totals = probs.sum(axis=0)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= NORMALIZATION_GUARD))
+    if len(bad):
+        raise RuntimeError(
+            f"distribution failed to normalize: sum={float(totals[bad[0]])!r} "
+            f"(seed {space.configuration(int(seed_indices[bad[0]]))}, statistics {statistics.value})"
+        )
+    return probs
 
 
 @dataclass(eq=False)
@@ -205,9 +171,9 @@ def full_distribution(
 ) -> BSDistribution:
     """Exact probabilities for every outcome of the configuration space.
 
-    The outcome loop is fully vectorized; results are bit-reproducible for
-    fixed inputs regardless of BLAS thread count because every reduction has
-    a fixed order.
+    The kernel behind the scans, run on a block of one seed: the result is
+    bit-identical to that seed's column of any block, and reproducible for
+    fixed inputs because every step runs in a fixed order.
     """
     stats = ParticleStatistics.from_string(statistics)
     matrix = _as_matrix(unitary)
@@ -218,13 +184,7 @@ def full_distribution(
     if space.modes != modes:
         raise ValueError(f"space has {space.modes} modes but unitary has {modes}")
     seed_t = validate_configuration(seed, space.modes, space.photons)
-    probs = _probabilities_for_seed(matrix, seed_t, space, stats)
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORMALIZATION_GUARD:
-        raise RuntimeError(
-            f"distribution failed to normalize: sum={total!r} "
-            f"(seed {seed_t}, statistics {stats.value})"
-        )
+    probs = _batch_probabilities(matrix, [space.index_of(seed_t)], space, stats)[:, 0]
     return BSDistribution(
         space=space,
         seed=seed_t,

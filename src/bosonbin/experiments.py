@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
@@ -19,13 +19,11 @@ import numpy as np
 
 from . import rng as rng_policy
 from .binning import make_partition
-from .distribution import ParticleStatistics, _batch_probabilities
+from .distribution import SCAN_BLOCK, ParticleStatistics, _batch_probabilities
 from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations, space_size
 from .io import atomic_write_text, write_json
 from .linalg import haar_unitary, permanent_ryser, submatrix
-from .sampling import total_variation
 
-SCAN_BLOCK = 16
 REFERENCE_FLOPS = 1e9
 
 # fields that vary run to run (wall-clock measurements and fits of them);

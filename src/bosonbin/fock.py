@@ -12,8 +12,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Sequence
 
 import numpy as np
 
@@ -156,10 +156,6 @@ class FockSpace:
         """All configurations as tuples; materialized on first access."""
         return [tuple(int(v) for v in row) for row in self.occupations]
 
-    def iter_configurations(self) -> Iterator[tuple[int, ...]]:
-        for row in self.occupations:
-            yield tuple(int(v) for v in row)
-
     def index_of_code(self, code: int) -> int:
         pos = bisect_left(self.codes, code)
         if pos == self.size or self.codes[pos] != code:
@@ -181,26 +177,79 @@ class FockSpace:
         return np.nonzero((self.occupations <= 1).all(axis=1))[0]
 
     @cached_property
-    def collision_free_positions(self) -> np.ndarray:
-        """Occupied-mode indices per collision-free configuration, shape (n_cf, N)."""
-        rows = self.occupations[self.collision_free_indices]
-        _, cols = np.nonzero(rows)
-        return cols.reshape(len(self.collision_free_indices), self.photons)
-
-    # kernel support caches; contents are derived, never mutated
-    @cached_property
-    def occupancy_float(self) -> np.ndarray:
-        return self.occupations.astype(np.float64)
-
-    @cached_property
-    def occupancy_complex(self) -> np.ndarray:
-        return self.occupations.astype(np.complex128)
-
-    @cached_property
     def factorial_products(self) -> np.ndarray:
         """prod_j t_j! per configuration, as float64."""
-        table = np.array([math.factorial(k) for k in range(self.photons + 1)], dtype=np.float64)
-        return table[self.occupations].prod(axis=1)
+        # The photon at sorted position p is the run-th of its mode, so the
+        # product of run lengths is prod_j t_j!, exact in float64 up to 18
+        # photons. No (size, modes) temporary is made: at (60,4) that would
+        # be the largest array of the process.
+        combos = self.mode_combos
+        run = np.ones(self.size)
+        out = np.ones(self.size)
+        for p in range(1, self.photons):
+            run = np.where(combos[:, p] == combos[:, p - 1], run + 1.0, 1.0)
+            out *= run
+        return out
+
+    @cached_property
+    def expansion_steps(self) -> tuple["ExpansionStep", ...]:
+        """Degree 1..N tables over photon multisets; degree N is this space in its order."""
+        return _expansion_steps(self.modes, self.mode_combos, distinct=False)
+
+    @cached_property
+    def fermion_steps(self) -> tuple["ExpansionStep", ...]:
+        """Degree 1..N tables over sets of distinct modes; degree N is the
+        collision-free configurations in the order of collision_free_indices."""
+        return _expansion_steps(self.modes, self.mode_combos[self.collision_free_indices], distinct=True)
+
+
+@dataclass(frozen=True, eq=False)
+class ExpansionStep:
+    """Degree k of the expansion of a product of linear forms, k >= 1.
+
+    Attributes:
+        modes: (size_k, k) sorted photon modes of each degree-k row.
+        predecessors: (size_k, k) degree k - 1 row of the same modes with
+            sorted position p removed. Where position p repeats the mode of
+            position p - 1 it is size_{k-1}, one past the last row, where
+            the kernel keeps a row of zeros; so each distinct mode counts once.
+    """
+
+    modes: np.ndarray
+    predecessors: np.ndarray
+
+
+def _expansion_steps(modes: int, final: np.ndarray, distinct: bool) -> tuple[ExpansionStep, ...]:
+    """Tables for every degree up to final's; intermediate degrees list all
+    k-photon rows in colex order of a_j + j (a_j for distinct modes), a
+    ranking that does not depend on the code order of any space."""
+    photons = final.shape[1]
+    offset = 0 if distinct else 1
+    binom = np.array(
+        [[math.comb(n, j) for j in range(photons + 1)] for n in range(modes + photons)], dtype=np.intp
+    )
+
+    def rank(rows: np.ndarray) -> np.ndarray:
+        j = np.arange(rows.shape[1])
+        return binom[rows + offset * j, j + 1].sum(axis=1)
+
+    choose = combinations if distinct else combinations_with_replacement
+    steps = []
+    zero_row = 1
+    for k in range(1, photons + 1):
+        if k < photons:
+            rows = np.array(list(choose(range(modes), k)), dtype=np.intp).reshape(-1, k)
+            table = np.empty_like(rows)
+            table[rank(rows)] = rows
+        else:
+            table = final
+        pred = np.empty(table.shape, dtype=np.intp)
+        for p in range(k):
+            pred[:, p] = rank(np.delete(table, p, axis=1))
+        pred[:, 1:][table[:, 1:] == table[:, :-1]] = zero_row
+        steps.append(ExpansionStep(table, pred))
+        zero_row = len(table)
+    return tuple(steps)
 
 
 def enumerate_configurations(

@@ -15,13 +15,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .binning import BinPartition, MPBResult, bin_probabilities, make_partition, mpb_from_vector, most_probable_bin
-from .distribution import (
-    BSDistribution,
-    ParticleStatistics,
-    _probabilities_for_seed,
-    full_distribution,
-)
+from .binning import BinPartition, MPBResult, bin_probabilities, make_partition, most_probable_bin
+from .distribution import SCAN_BLOCK, ParticleStatistics, _batch_probabilities, full_distribution
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     FockSpace,
@@ -358,28 +353,23 @@ def collision_probability(
         raise ValueError("fermion comparisons need modes >= photons")
     partition = make_partition(space.size, num_bins)
     starts = np.asarray(partition.offsets[:-1], dtype=np.intp)
-    if collision_free_seeds:
-        seed_rows = space.occupations[space.collision_free_indices]
-    else:
-        seed_rows = space.occupations
-    if len(seed_rows) == 0:
+    seed_idx = space.collision_free_indices if collision_free_seeds else np.arange(space.size)
+    if len(seed_idx) == 0:
         raise ValueError("no collision-free seeds available")
     fractions = []
     for _ in range(unitary_count):
         u = haar_unitary(modes, rng)
-        matches = 0
-        for row in seed_rows:
-            seed = tuple(int(v) for v in row)
-            labels = []
+        labels = {stats: np.empty(len(seed_idx), dtype=np.int64) for stats in pair}
+        for lo in range(0, len(seed_idx), SCAN_BLOCK):
+            block = seed_idx[lo : lo + SCAN_BLOCK]
             for stats in pair:
-                probs = _probabilities_for_seed(u.matrix, seed, space, stats)
-                labels.append(int(np.argmax(np.add.reduceat(probs, starts))))
-            matches += labels[0] == labels[1]
-        fractions.append(matches / len(seed_rows))
+                probs = _batch_probabilities(u.matrix, block, space, stats)
+                labels[stats][lo : lo + len(block)] = np.argmax(np.add.reduceat(probs, starts, axis=0), axis=0)
+        fractions.append(float((labels[pair[0]] == labels[pair[1]]).mean()))
     arr = np.asarray(fractions)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return CollisionResult(
-        mean=float(arr.mean()), std=std, fractions=tuple(fractions), seed_count=len(seed_rows)
+        mean=float(arr.mean()), std=std, fractions=tuple(fractions), seed_count=len(seed_idx)
     )
 
 

@@ -2,17 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonbin.distribution import (
     BSDistribution,
     ParticleStatistics,
+    _batch_probabilities,
     amplitude,
     full_distribution,
     max_outcome,
     transition_probability,
 )
-from bosonbin.fock import enumerate_configurations
-from bosonbin.linalg import UnitaryMatrix, haar_unitary_from_seed, identity_unitary
+from bosonbin.fock import enumerate_configurations, is_collision_free
+from bosonbin.linalg import (
+    UnitaryMatrix,
+    determinant,
+    haar_unitary_from_seed,
+    identity_unitary,
+    permanent_naive,
+    permanent_ryser,
+    submatrix,
+)
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
 
@@ -187,3 +198,96 @@ def test_pinned_haar_11_3_snapshot():
     cfg, p = max_outcome(dist)
     assert cfg == (0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0)
     assert p == pytest.approx(0.0306108528191241, rel=1e-12)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(unitary matrix, seed, kind) on M <= 6 modes with N <= 4 photons.
+
+    Seeds may bunch. kind "hom" puts a 50:50 beamsplitter on modes 0 and 1
+    (identity elsewhere), one seed photon in each of them and the rest in
+    other modes.
+    """
+    kind = draw(st.sampled_from(["haar", "permutation", "hom"]))
+    if kind == "hom":
+        modes = draw(st.integers(2, 6))
+        photons = draw(st.integers(2, 4 if modes > 2 else 2))
+        placed = [0, 1] + [draw(st.integers(2, modes - 1)) for _ in range(photons - 2)]
+    else:
+        modes = draw(st.integers(1, 6))
+        photons = draw(st.integers(1, 4))
+        placed = draw(st.lists(st.integers(0, modes - 1), min_size=photons, max_size=photons))
+    seed = tuple(placed.count(m) for m in range(modes))
+    if kind == "haar":
+        matrix = haar_unitary_from_seed(modes, draw(st.integers(0, 2**16))).matrix
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(modes)))
+        matrix = np.zeros((modes, modes), dtype=np.complex128)
+        matrix[perm, np.arange(modes)] = 1.0
+    else:
+        matrix = np.eye(modes, dtype=np.complex128)
+        matrix[:2, :2] = BEAMSPLITTER.matrix
+    return matrix, seed, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_per_outcome_oracles(case):
+    matrix, seed, kind = case
+    modes, photons = len(seed), sum(seed)
+    space = enumerate_configurations(modes, photons)
+    index = space.index_of(seed)
+    probs = {
+        stats: _batch_probabilities(matrix, [index], space, stats)[:, 0]
+        for stats in ParticleStatistics
+        if stats is not ParticleStatistics.FERMION or is_collision_free(seed)
+    }
+    boson = probs[ParticleStatistics.BOSON]
+    distinguishable = probs[ParticleStatistics.DISTINGUISHABLE]
+    fermion = probs.get(ParticleStatistics.FERMION)
+    s_fact = math.prod(math.factorial(v) for v in seed)
+    q = np.abs(matrix) ** 2
+    for i, outcome in enumerate(space.configurations):
+        norm = s_fact * math.prod(math.factorial(v) for v in outcome)
+        sub = submatrix(matrix, seed, outcome)
+        assert boson[i] == pytest.approx(abs(permanent_ryser(sub)) ** 2 / norm, abs=1e-12)
+        assert boson[i] == pytest.approx(abs(permanent_naive(sub)) ** 2 / norm, abs=1e-12)
+        per_q = permanent_naive(submatrix(q, seed, outcome)).real
+        assert distinguishable[i] == pytest.approx(per_q / math.prod(math.factorial(v) for v in outcome), abs=1e-12)
+        if fermion is None:
+            continue
+        if is_collision_free(outcome):
+            assert fermion[i] == pytest.approx(abs(determinant(sub)) ** 2, abs=1e-12)
+        else:
+            assert fermion[i] == 0.0  # Pauli exclusion, exactly
+    if kind == "permutation":
+        image = tuple(seed[int(np.flatnonzero(matrix[m])[0])] for m in range(modes))
+        for column in probs.values():
+            assert column[space.index_of(image)] == 1.0
+    if kind == "hom":
+        bunched = (1, 1) + tuple(seed[2:])
+        assert boson[space.index_of(bunched)] < 1e-30  # Hong-Ou-Mandel dip
+    if fermion is None:
+        with pytest.raises(ValueError, match="collision-free"):
+            _batch_probabilities(matrix, [index], space, ParticleStatistics.FERMION)
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_kernel_columns_do_not_depend_on_the_block(statistics):
+    u = haar_unitary_from_seed(7, 8)
+    space = enumerate_configurations(7, 3)
+    seeds = space.collision_free_indices if statistics is ParticleStatistics.FERMION else np.arange(space.size)
+    block = _batch_probabilities(u.matrix, seeds[:11], space, statistics)
+    for j, index in enumerate(seeds[:11]):
+        alone = full_distribution(u, space.configuration(int(index)), statistics, space=space)
+        assert np.array_equal(block[:, j], alone.probabilities)
+
+
+def test_kernel_checks_normalization_of_every_seed():
+    space = enumerate_configurations(4, 2)
+    matrix = identity_unitary(4).matrix.copy()
+    matrix[3, 3] = 1.5  # not unitary: only seeds with a photon in mode 3 lose normalization
+    _batch_probabilities(matrix, [0, 1, 2], space, ParticleStatistics.BOSON)
+    bad = space.index_of((0, 1, 0, 1))
+    with pytest.raises(RuntimeError, match="failed to normalize.*0, 1, 0, 1"):
+        _batch_probabilities(matrix, [0, bad], space, ParticleStatistics.DISTINGUISHABLE)
