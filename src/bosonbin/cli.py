@@ -134,9 +134,9 @@ def cmd_problem(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     if instance.kind == "function":
-        answer: int | str = solve_function(instance, images)
+        answer: int | str = solve_function(instance, images, space)
     else:
-        answer = "YES" if decide(instance, images) else "NO"
+        answer = "YES" if decide(instance, images, space) else "NO"
     payload = {
         "schema_version": 1,
         "kind": instance.kind,

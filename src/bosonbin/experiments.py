@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as rng_policy
 from .binning import make_partition
 from .distribution import SCAN_BLOCK, ParticleStatistics, _batch_probabilities
-from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations, space_size
+from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations
 from .io import atomic_write_text, write_json
 from .linalg import haar_unitary, permanent_ryser, submatrix
 
@@ -89,7 +89,7 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
     },
     "ryser_benchmark": {
         "n_range": (14, 20),
-        "repeats": 5,
+        "repeats": 8,
         "cells": ((4, 2), (8, 2), (16, 2), (9, 3), (18, 3), (16, 4)),
         "unitary_count": 1,
         "quick_unitary_count": 1,
@@ -263,8 +263,9 @@ def _mpb_scan(
     space: FockSpace,
     bin_list: tuple[int, ...],
     seed_indices: np.ndarray | None = None,
+    statistics: ParticleStatistics = ParticleStatistics.BOSON,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-seed MPB label, p0 and p1 of the exact boson distribution,
+    """Per-seed MPB label, p0 and p1 of the exact output distribution,
     for every requested bin count. Returns {d: (labels, p0, p1)}."""
     if seed_indices is None:
         seed_indices = np.arange(space.size)
@@ -278,7 +279,7 @@ def _mpb_scan(
     for lo in range(0, count, SCAN_BLOCK):
         block = seed_indices[lo : lo + SCAN_BLOCK]
         b = len(block)
-        probs = _batch_probabilities(matrix, block, space, ParticleStatistics.BOSON)
+        probs = _batch_probabilities(matrix, block, space, statistics)
         for d in bin_list:
             binned = np.add.reduceat(probs, starts[d], axis=0)
             labels = np.argmax(binned, axis=0)
@@ -290,54 +291,62 @@ def _mpb_scan(
     return out
 
 
-def run_mpb_seed_scan(config: ExperimentConfig) -> ExperimentReport:
-    """MPB label and margin of every early seed under one fixed unitary.
+def _margin_bound(scan: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[float, int]:
+    """Smallest margin p0 - 1/d of a scan over its seeds and bin counts, and
+    the number of seeds whose top bin is not above uniform (p0 <= 1/d)."""
+    worst, bad = math.inf, 0
+    for d, (_, p0, _) in scan.items():
+        margin = p0 - 1.0 / d
+        worst = min(worst, float(margin.min()))
+        bad += int((margin <= 0).sum())
+    return worst, bad
 
-    Walks the first `seed_limit` seeds in code order and records, per bin
-    count, the label trace and where it changes.
+
+def _bound_fields(bounds: list[tuple[float, int]]) -> dict[str, Any]:
+    """The min_margin and violations fields of several _margin_bound results."""
+    return {"min_margin": min(w for w, _ in bounds), "violations": sum(b for _, b in bounds)}
+
+
+def _sample_std(values: np.ndarray) -> float:
+    return float(values.std(ddof=1)) if len(values) > 1 else 0.0
+
+
+CellResults = list[tuple[FockSpace, list[Any]]]
+
+
+def _scan_experiment(
+    config: ExperimentConfig,
+    grid: list[tuple[int, int]],
+    per_unitary: Callable[[FockSpace, np.ndarray, np.random.Generator], Any],
+    reduce: Callable[[CellResults], tuple[dict[str, Any], list[dict[str, Any]]]],
+) -> ExperimentReport:
+    """The scan behind every Haar experiment.
+
+    For each (modes, photons) cell of the grid, the space is enumerated once
+    and per_unitary(space, matrix, child) runs for `unitary_count` Haar
+    unitaries. Unitary u of cell c is drawn from child generator
+    c * unitary_count + u of the master seed, and its result is kept in slot
+    u, so the report does not depend on the thread count. reduce gets
+    [(space, results)] in grid order and returns the summary and the cells.
     """
     eff = config.resolved()
     started, t0 = _now(), time.perf_counter()
-    modes, photons = eff["modes"], eff["photons"]
-    bin_list = tuple(eff["bin_list"])
-    space = enumerate_configurations(modes, photons, limit=config.limit)
-    seed_limit = min(eff["seed_limit"], space.size)
-    children = rng_policy.split(config.master_seed, eff["unitary_count"])
-    cells: list[dict[str, Any]] = []
-    min_margin = math.inf
-    violations = 0
-    for u_idx in range(eff["unitary_count"]):
-        u = haar_unitary(modes, children[u_idx])
-        scan = _mpb_scan(u.matrix, space, bin_list, np.arange(seed_limit))
-        for d in bin_list:
-            labels, p0, p1 = scan[d]
-            margins = p0 - 1.0 / d
-            min_margin = min(min_margin, float(margins.min()))
-            violations += int((margins <= 0).sum())
-            for i in range(seed_limit):
-                cells.append(
-                    {
-                        "table": "scan",
-                        "unitary": u_idx,
-                        "bins": d,
-                        "seed_index": i,
-                        "label": int(labels[i]),
-                        "p0": float(p0[i]),
-                        "p1": float(p1[i]),
-                        "gap": float(p0[i] - p1[i]),
-                        "margin": float(margins[i]),
-                    }
-                )
-            transitions = int((labels[1:] != labels[:-1]).sum())
-            cells.append(
-                {"table": "transitions", "unitary": u_idx, "bins": d, "transitions": transitions}
-            )
-    summary = {
-        "space_size": space.size,
-        "seed_limit": seed_limit,
-        "min_margin": min_margin,
-        "violations": violations,
-    }
+    count = eff["unitary_count"]
+    if count < 1:
+        raise ValueError(f"unitary_count must be >= 1, got {count}")
+    children = rng_policy.split(config.master_seed, len(grid) * count)
+    results: CellResults = []
+    for c_idx, (modes, photons) in enumerate(grid):
+        space = enumerate_configurations(modes, photons, limit=config.limit)
+        outs: list[Any] = [None] * count
+
+        def work(u_idx: int) -> None:
+            child = children[c_idx * count + u_idx]
+            outs[u_idx] = per_unitary(space, haar_unitary(modes, child).matrix, child)
+
+        _thread_map(work, count, config.threads)
+        results.append((space, outs))
+    summary, cells = reduce(results)
     return ExperimentReport(
         experiment=config.experiment,
         config=eff,
@@ -346,6 +355,53 @@ def run_mpb_seed_scan(config: ExperimentConfig) -> ExperimentReport:
         summary=summary,
         cells=cells,
     )
+
+
+def run_mpb_seed_scan(config: ExperimentConfig) -> ExperimentReport:
+    """MPB label and margin of every early seed under one fixed unitary.
+
+    Walks the first `seed_limit` seeds in code order and records, per bin
+    count, the label trace and where it changes.
+    """
+    eff = config.resolved()
+    bin_list = tuple(eff["bin_list"])
+
+    def per_unitary(space, matrix, child):
+        return _mpb_scan(matrix, space, bin_list, np.arange(min(eff["seed_limit"], space.size)))
+
+    def reduce(results):
+        [(space, scans)] = results
+        cells: list[dict[str, Any]] = []
+        for u_idx, scan in enumerate(scans):
+            for d in bin_list:
+                labels, p0, p1 = scan[d]
+                margins = p0 - 1.0 / d
+                for i in range(len(labels)):
+                    cells.append(
+                        {
+                            "table": "scan",
+                            "unitary": u_idx,
+                            "bins": d,
+                            "seed_index": i,
+                            "label": int(labels[i]),
+                            "p0": float(p0[i]),
+                            "p1": float(p1[i]),
+                            "gap": float(p0[i] - p1[i]),
+                            "margin": float(margins[i]),
+                        }
+                    )
+                transitions = int((labels[1:] != labels[:-1]).sum())
+                cells.append(
+                    {"table": "transitions", "unitary": u_idx, "bins": d, "transitions": transitions}
+                )
+        summary = {
+            "space_size": space.size,
+            "seed_limit": min(eff["seed_limit"], space.size),
+            **_bound_fields([_margin_bound(scan) for scan in scans]),
+        }
+        return summary, cells
+
+    return _scan_experiment(config, [(eff["modes"], eff["photons"])], per_unitary, reduce)
 
 
 def run_bin_fraction(config: ExperimentConfig) -> ExperimentReport:
@@ -355,215 +411,149 @@ def run_bin_fraction(config: ExperimentConfig) -> ExperimentReport:
     per-label fractions are averaged over unitaries.
     """
     eff = config.resolved()
-    started, t0 = _now(), time.perf_counter()
-    modes = eff["modes"]
-    photon_list = tuple(eff["photon_list"])
     bin_list = tuple(eff["bin_list"])
-    count = eff["unitary_count"]
-    children = rng_policy.split(config.master_seed, len(photon_list) * count)
-    cells: list[dict[str, Any]] = []
-    bound_rows: list[dict[str, Any]] = []
-    min_margin = math.inf
-    violations = 0
-    for c_idx, photons in enumerate(photon_list):
-        space = enumerate_configurations(modes, photons, limit=config.limit)
-        fractions = {d: np.empty((count, d)) for d in bin_list}
-        margins = np.empty(count)
-        cell_violations = np.zeros(count, dtype=np.int64)
-        def work(u_idx: int, c_idx=c_idx, space=space, fractions=fractions, margins=margins, cell_violations=cell_violations) -> None:
-            u = haar_unitary(modes, children[c_idx * count + u_idx])
-            scan = _mpb_scan(u.matrix, space, bin_list)
-            worst = math.inf
-            bad = 0
-            for d in bin_list:
-                labels, p0, _ = scan[d]
-                fractions[d][u_idx] = np.bincount(labels, minlength=d) / space.size
-                m = p0 - 1.0 / d
-                worst = min(worst, float(m.min()))
-                bad += int((m <= 0).sum())
-            margins[u_idx] = worst
-            cell_violations[u_idx] = bad
 
-        _thread_map(work, count, config.threads)
-        for d in bin_list:
-            for label in range(d):
-                col = fractions[d][:, label]
-                cells.append(
-                    {
-                        "table": "fractions",
-                        "photons": photons,
-                        "bins": d,
-                        "label": label,
-                        "fraction_mean": float(col.mean()),
-                        "fraction_std": float(col.std(ddof=1)) if count > 1 else 0.0,
-                    }
-                )
-        bound_rows.append(
-            {
-                "table": "bounds",
-                "photons": photons,
-                "space_size": space.size,
-                "min_margin": float(margins.min()),
-                "violations": int(cell_violations.sum()),
-            }
-        )
-        min_margin = min(min_margin, float(margins.min()))
-        violations += int(cell_violations.sum())
-    summary = {
-        "modes": modes,
-        "unitary_count": count,
-        "min_margin": min_margin,
-        "violations": violations,
-    }
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=eff,
-        started_at=started,
-        wall_seconds=time.perf_counter() - t0,
-        summary=summary,
-        cells=cells + bound_rows,
-    )
+    def per_unitary(space, matrix, child):
+        scan = _mpb_scan(matrix, space, bin_list)
+        fractions = {d: np.bincount(scan[d][0], minlength=d) / space.size for d in bin_list}
+        return fractions, _margin_bound(scan)
+
+    def reduce(results):
+        cells: list[dict[str, Any]] = []
+        bound_rows: list[dict[str, Any]] = []
+        for space, outs in results:
+            for d in bin_list:
+                fractions = np.array([f[d] for f, _ in outs])
+                for label in range(d):
+                    col = fractions[:, label]
+                    cells.append(
+                        {
+                            "table": "fractions",
+                            "photons": space.photons,
+                            "bins": d,
+                            "label": label,
+                            "fraction_mean": float(col.mean()),
+                            "fraction_std": _sample_std(col),
+                        }
+                    )
+            bound_rows.append(
+                {
+                    "table": "bounds",
+                    "photons": space.photons,
+                    "space_size": space.size,
+                    **_bound_fields([bound for _, bound in outs]),
+                }
+            )
+        summary = {
+            "modes": eff["modes"],
+            "unitary_count": eff["unitary_count"],
+            **_bound_fields([bound for _, outs in results for _, bound in outs]),
+        }
+        return summary, cells + bound_rows
+
+    grid = [(eff["modes"], photons) for photons in eff["photon_list"]]
+    return _scan_experiment(config, grid, per_unitary, reduce)
 
 
 def run_pmax_histogram(config: ExperimentConfig) -> ExperimentReport:
     """Histogram of the MPB mass p0 over all seeds, per bin count."""
     eff = config.resolved()
-    started, t0 = _now(), time.perf_counter()
-    modes, photons = eff["modes"], eff["photons"]
     bin_list = tuple(eff["bin_list"])
     dp = float(eff["dp"])
-    count = eff["unitary_count"]
-    space = enumerate_configurations(modes, photons, limit=config.limit)
     edges = np.arange(0.0, 1.0 + dp, dp)
-    children = rng_policy.split(config.master_seed, count)
-    hists = {d: np.empty((count, len(edges) - 1)) for d in bin_list}
-    p0_mean = {d: np.empty(count) for d in bin_list}
-    p0_std = {d: np.empty(count) for d in bin_list}
-    min_margin = np.empty(count)
-    violations = np.zeros(count, dtype=np.int64)
 
-    def work(u_idx: int) -> None:
-        u = haar_unitary(modes, children[u_idx])
-        scan = _mpb_scan(u.matrix, space, bin_list)
-        worst = math.inf
-        bad = 0
+    def per_unitary(space, matrix, child):
+        scan = _mpb_scan(matrix, space, bin_list)
+        moments = {}
         for d in bin_list:
-            _, p0, _ = scan[d]
-            hists[d][u_idx] = np.histogram(p0, bins=edges)[0] / space.size
-            p0_mean[d][u_idx] = p0.mean()
-            p0_std[d][u_idx] = p0.std()
-            m = p0 - 1.0 / d
-            worst = min(worst, float(m.min()))
-            bad += int((m <= 0).sum())
-        min_margin[u_idx] = worst
-        violations[u_idx] = bad
+            p0 = scan[d][1]
+            moments[d] = (np.histogram(p0, bins=edges)[0] / space.size, p0.mean(), p0.std())
+        return moments, _margin_bound(scan)
 
-    _thread_map(work, count, config.threads)
-    cells: list[dict[str, Any]] = []
-    for d in bin_list:
-        mean_rows = hists[d].mean(axis=0)
-        std_rows = hists[d].std(axis=0, ddof=1) if count > 1 else np.zeros_like(mean_rows)
-        for k in np.nonzero(mean_rows > 0)[0]:
+    def reduce(results):
+        [(space, outs)] = results
+        cells: list[dict[str, Any]] = []
+        for d in bin_list:
+            hists = np.array([m[d][0] for m, _ in outs])
+            p0_mean = np.array([m[d][1] for m, _ in outs])
+            p0_std = np.array([m[d][2] for m, _ in outs])
+            mean_rows = hists.mean(axis=0)
+            std_rows = hists.std(axis=0, ddof=1) if len(hists) > 1 else np.zeros_like(mean_rows)
+            for k in np.nonzero(mean_rows > 0)[0]:
+                cells.append(
+                    {
+                        "table": "histogram",
+                        "bins": d,
+                        "p_low": float(edges[k]),
+                        "p_high": float(edges[k + 1]),
+                        "fraction_mean": float(mean_rows[k]),
+                        "fraction_std": float(std_rows[k]),
+                    }
+                )
             cells.append(
                 {
-                    "table": "histogram",
+                    "table": "moments",
                     "bins": d,
-                    "p_low": float(edges[k]),
-                    "p_high": float(edges[k + 1]),
-                    "fraction_mean": float(mean_rows[k]),
-                    "fraction_std": float(std_rows[k]),
+                    "p0_mean": float(p0_mean.mean()),
+                    "p0_spread": float(p0_std.mean()),
                 }
             )
-        cells.append(
-            {
-                "table": "moments",
-                "bins": d,
-                "p0_mean": float(p0_mean[d].mean()),
-                "p0_spread": float(p0_std[d].mean()),
-            }
-        )
-    summary = {
-        "modes": modes,
-        "photons": photons,
-        "space_size": space.size,
-        "dp": dp,
-        "unitary_count": count,
-        "min_margin": float(min_margin.min()),
-        "violations": int(violations.sum()),
-    }
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=eff,
-        started_at=started,
-        wall_seconds=time.perf_counter() - t0,
-        summary=summary,
-        cells=cells,
-    )
+        summary = {
+            "modes": space.modes,
+            "photons": space.photons,
+            "space_size": space.size,
+            "dp": dp,
+            "unitary_count": eff["unitary_count"],
+            **_bound_fields([bound for _, bound in outs]),
+        }
+        return summary, cells
+
+    return _scan_experiment(config, [(eff["modes"], eff["photons"])], per_unitary, reduce)
 
 
 def run_gap_fraction(config: ExperimentConfig) -> ExperimentReport:
     """Fraction of seeds whose top-two bin gap is at most epsilon."""
     eff = config.resolved()
-    started, t0 = _now(), time.perf_counter()
-    modes, photons = eff["modes"], eff["photons"]
     bin_list = tuple(eff["bin_list"])
     eps_list = tuple(float(e) for e in eff["epsilon_list"])
-    count = eff["unitary_count"]
-    space = enumerate_configurations(modes, photons, limit=config.limit)
-    children = rng_policy.split(config.master_seed, count)
-    fractions = {d: np.empty((count, len(eps_list))) for d in bin_list}
-    mean_gap = {d: np.empty(count) for d in bin_list}
-    min_margin = np.empty(count)
-    violations = np.zeros(count, dtype=np.int64)
 
-    def work(u_idx: int) -> None:
-        u = haar_unitary(modes, children[u_idx])
-        scan = _mpb_scan(u.matrix, space, bin_list)
-        worst = math.inf
-        bad = 0
+    def per_unitary(space, matrix, child):
+        scan = _mpb_scan(matrix, space, bin_list)
+        gap_stats = {}
         for d in bin_list:
             _, p0, p1 = scan[d]
             gaps = p0 - p1
-            for e_idx, eps in enumerate(eps_list):
-                fractions[d][u_idx, e_idx] = float((gaps <= eps).mean())
-            mean_gap[d][u_idx] = gaps.mean()
-            m = p0 - 1.0 / d
-            worst = min(worst, float(m.min()))
-            bad += int((m <= 0).sum())
-        min_margin[u_idx] = worst
-        violations[u_idx] = bad
+            gap_stats[d] = ([float((gaps <= eps).mean()) for eps in eps_list], gaps.mean())
+        return gap_stats, _margin_bound(scan)
 
-    _thread_map(work, count, config.threads)
-    cells: list[dict[str, Any]] = []
-    for d in bin_list:
-        for e_idx, eps in enumerate(eps_list):
-            col = fractions[d][:, e_idx]
-            cells.append(
-                {
-                    "table": "fractions",
-                    "bins": d,
-                    "epsilon": eps,
-                    "fraction_mean": float(col.mean()),
-                    "fraction_std": float(col.std(ddof=1)) if count > 1 else 0.0,
-                }
-            )
-        cells.append({"table": "gaps", "bins": d, "mean_gap": float(mean_gap[d].mean())})
-    summary = {
-        "modes": modes,
-        "photons": photons,
-        "space_size": space.size,
-        "unitary_count": count,
-        "min_margin": float(min_margin.min()),
-        "violations": int(violations.sum()),
-    }
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=eff,
-        started_at=started,
-        wall_seconds=time.perf_counter() - t0,
-        summary=summary,
-        cells=cells,
-    )
+    def reduce(results):
+        [(space, outs)] = results
+        cells: list[dict[str, Any]] = []
+        for d in bin_list:
+            fractions = np.array([g[d][0] for g, _ in outs])
+            mean_gap = np.array([g[d][1] for g, _ in outs])
+            for e_idx, eps in enumerate(eps_list):
+                col = fractions[:, e_idx]
+                cells.append(
+                    {
+                        "table": "fractions",
+                        "bins": d,
+                        "epsilon": eps,
+                        "fraction_mean": float(col.mean()),
+                        "fraction_std": _sample_std(col),
+                    }
+                )
+            cells.append({"table": "gaps", "bins": d, "mean_gap": float(mean_gap.mean())})
+        summary = {
+            "modes": space.modes,
+            "photons": space.photons,
+            "space_size": space.size,
+            "unitary_count": eff["unitary_count"],
+            **_bound_fields([bound for _, bound in outs]),
+        }
+        return summary, cells
+
+    return _scan_experiment(config, [(eff["modes"], eff["photons"])], per_unitary, reduce)
 
 
 _PAIR_STATS = {
@@ -580,74 +570,46 @@ def run_collision(config: ExperimentConfig) -> ExperimentReport:
     fraction is aggregated over unitaries, per bin count.
     """
     eff = config.resolved()
-    started, t0 = _now(), time.perf_counter()
-    cells_mn = tuple(tuple(c) for c in eff["cells"])
     bin_list = tuple(eff["bin_list"])
     pairs = tuple(eff["pairs"])
     for p in pairs:
         if p not in _PAIR_STATS:
             raise ValueError(f"unknown statistics pair {p!r}; known: BD, BF")
-    count = eff["unitary_count"]
-    children = rng_policy.split(config.master_seed, len(cells_mn) * count)
-    needed = {ParticleStatistics.BOSON}
-    for p in pairs:
-        needed.add(_PAIR_STATS[p][1])
-    cells: list[dict[str, Any]] = []
-    for c_idx, (modes, photons) in enumerate(cells_mn):
-        space = enumerate_configurations(modes, photons, limit=config.limit)
+    needed = {ParticleStatistics.BOSON} | {_PAIR_STATS[p][1] for p in pairs}
+
+    def per_unitary(space, matrix, child):
         seed_idx = space.collision_free_indices
-        starts = {
-            d: np.asarray(make_partition(space.size, d).offsets[:-1], dtype=np.intp)
-            for d in bin_list
-        }
-        match = {(p, d): np.empty(count) for p in pairs for d in bin_list}
-
-        def work(u_idx: int, c_idx=c_idx, space=space, seed_idx=seed_idx, starts=starts, match=match) -> None:
-            u = haar_unitary(space.modes, children[c_idx * count + u_idx])
-            labels: dict[ParticleStatistics, dict[int, np.ndarray]] = {
-                s: {d: np.empty(len(seed_idx), dtype=np.int64) for d in bin_list} for s in needed
-            }
-            for lo in range(0, len(seed_idx), SCAN_BLOCK):
-                block = seed_idx[lo : lo + SCAN_BLOCK]
-                for stats in needed:
-                    probs = _batch_probabilities(u.matrix, block, space, stats)
-                    for d in bin_list:
-                        binned = np.add.reduceat(probs, starts[d], axis=0)
-                        labels[stats][d][lo : lo + len(block)] = np.argmax(binned, axis=0)
-            for p in pairs:
-                a, b = _PAIR_STATS[p]
-                for d in bin_list:
-                    match[(p, d)][u_idx] = float(
-                        (labels[a][d] == labels[b][d]).mean()
-                    )
-
-        _thread_map(work, count, config.threads)
+        labels = {s: _mpb_scan(matrix, space, bin_list, seed_idx, s) for s in needed}
+        match = {}
         for p in pairs:
+            a, b = _PAIR_STATS[p]
             for d in bin_list:
-                col = match[(p, d)]
-                cells.append(
-                    {
-                        "table": "collision",
-                        "modes": modes,
-                        "photons": photons,
-                        "pair": p,
-                        "bins": d,
-                        "p_col_mean": float(col.mean()),
-                        "p_col_std": float(col.std(ddof=1)) if count > 1 else 0.0,
-                        "seed_count": int(len(seed_idx)),
-                        "size_full": space.size,
-                        "size_cf": int(collision_free_count(modes, photons)),
-                    }
-                )
-    summary = {"unitary_count": count, "pairs": list(pairs)}
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=eff,
-        started_at=started,
-        wall_seconds=time.perf_counter() - t0,
-        summary=summary,
-        cells=cells,
-    )
+                match[(p, d)] = float((labels[a][d][0] == labels[b][d][0]).mean())
+        return match
+
+    def reduce(results):
+        cells: list[dict[str, Any]] = []
+        for space, outs in results:
+            for p in pairs:
+                for d in bin_list:
+                    col = np.array([match[(p, d)] for match in outs])
+                    cells.append(
+                        {
+                            "table": "collision",
+                            "modes": space.modes,
+                            "photons": space.photons,
+                            "pair": p,
+                            "bins": d,
+                            "p_col_mean": float(col.mean()),
+                            "p_col_std": _sample_std(col),
+                            "seed_count": int(len(space.collision_free_indices)),
+                            "size_full": space.size,
+                            "size_cf": int(collision_free_count(space.modes, space.photons)),
+                        }
+                    )
+        return {"unitary_count": eff["unitary_count"], "pairs": list(pairs)}, cells
+
+    return _scan_experiment(config, eff["cells"], per_unitary, reduce)
 
 
 def run_maxprob_scaling(config: ExperimentConfig) -> ExperimentReport:
@@ -657,82 +619,73 @@ def run_maxprob_scaling(config: ExperimentConfig) -> ExperimentReport:
     log(mean) = log(a) + b log(size) over the grid.
     """
     eff = config.resolved()
-    started, t0 = _now(), time.perf_counter()
-    cells_mn = tuple(tuple(c) for c in eff["cells"])
-    count = eff["unitary_count"]
     seed_sample = eff["seed_sample"]
     size_measure = eff["size_measure"]
     if size_measure not in ("full", "collision_free"):
         raise ValueError(f"size_measure must be 'full' or 'collision_free', got {size_measure!r}")
-    children = rng_policy.split(config.master_seed, len(cells_mn) * count)
-    cells: list[dict[str, Any]] = []
-    sizes = []
-    means = []
-    for c_idx, (modes, photons) in enumerate(cells_mn):
-        space = enumerate_configurations(modes, photons, limit=config.limit)
-        per_unitary: list[np.ndarray] = [np.empty(0)] * count
 
-        def work(u_idx: int, c_idx=c_idx, space=space, per_unitary=per_unitary) -> None:
-            child = children[c_idx * count + u_idx]
-            u = haar_unitary(space.modes, child)
-            if seed_sample < space.size:
-                picks = np.sort(child.choice(space.size, size=seed_sample, replace=False))
-            else:
-                picks = np.arange(space.size)
-            maxima = np.empty(len(picks))
-            for lo in range(0, len(picks), SCAN_BLOCK):
-                block = picks[lo : lo + SCAN_BLOCK]
-                probs = _batch_probabilities(u.matrix, block, space, ParticleStatistics.BOSON)
-                maxima[lo : lo + len(block)] = probs.max(axis=0)
-            per_unitary[u_idx] = maxima
+    def per_unitary(space, matrix, child):
+        if seed_sample < space.size:
+            picks = np.sort(child.choice(space.size, size=seed_sample, replace=False))
+        else:
+            picks = np.arange(space.size)
+        maxima = np.empty(len(picks))
+        for lo in range(0, len(picks), SCAN_BLOCK):
+            block = picks[lo : lo + SCAN_BLOCK]
+            probs = _batch_probabilities(matrix, block, space, ParticleStatistics.BOSON)
+            maxima[lo : lo + len(block)] = probs.max(axis=0)
+        return maxima
 
-        _thread_map(work, count, config.threads)
-        pooled = np.concatenate(per_unitary)
-        size_full = space.size
-        size_cf = collision_free_count(modes, photons)
-        cells.append(
-            {
-                "table": "cells",
-                "modes": modes,
-                "photons": photons,
-                "size_full": size_full,
-                "size_cf": size_cf,
-                "samples": int(len(pooled)),
-                "maxprob_mean": float(pooled.mean()),
-                "maxprob_std": float(pooled.std(ddof=1)) if len(pooled) > 1 else 0.0,
-            }
-        )
-        sizes.append(size_full if size_measure == "full" else size_cf)
-        means.append(pooled.mean())
-    slope, intercept = np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(means), 1)
-    summary = {
-        "size_measure": size_measure,
-        "exponent": float(slope),
-        "prefactor": float(math.exp(intercept)),
-        "unitary_count": count,
-        "seed_sample": seed_sample,
-    }
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=eff,
-        started_at=started,
-        wall_seconds=time.perf_counter() - t0,
-        summary=summary,
-        cells=cells,
-    )
+    def reduce(results):
+        cells: list[dict[str, Any]] = []
+        sizes = []
+        means = []
+        for space, outs in results:
+            pooled = np.concatenate(outs)
+            size_cf = collision_free_count(space.modes, space.photons)
+            cells.append(
+                {
+                    "table": "cells",
+                    "modes": space.modes,
+                    "photons": space.photons,
+                    "size_full": space.size,
+                    "size_cf": size_cf,
+                    "samples": int(len(pooled)),
+                    "maxprob_mean": float(pooled.mean()),
+                    "maxprob_std": _sample_std(pooled),
+                }
+            )
+            sizes.append(space.size if size_measure == "full" else size_cf)
+            means.append(pooled.mean())
+        slope, intercept = np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(means), 1)
+        summary = {
+            "size_measure": size_measure,
+            "exponent": float(slope),
+            "prefactor": float(math.exp(intercept)),
+            "unitary_count": eff["unitary_count"],
+            "seed_sample": seed_sample,
+        }
+        return summary, cells
+
+    return _scan_experiment(config, eff["cells"], per_unitary, reduce)
 
 
 def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
     """Wall-clock scaling of the permanent kernel and of brute-force scans.
 
     Single permanents: fastest of `repeats` interleaved timing passes per
-    matrix size (one untimed warmup pass first), with the per-added-photon
-    ratio and a T = a n 2^(b n) + c fit. The kernel is deterministic, so any
-    excess over the fastest run is scheduler interference; interleaving the
-    passes keeps one interference burst from biasing every repeat of a single
-    size. Grid: time to evaluate every collision-free outcome of one seed by
-    per-outcome Ryser calls, reported against the xi * N * 2^N operation
-    count at a reference rate. Timings are machine-dependent; only their
+    matrix size (one untimed warmup pass first), with a T = a n 2^(b n) + c
+    fit. The kernel is deterministic, so any excess over the fastest run is
+    interference; interleaving the passes keeps one interference burst from
+    biasing every repeat of a single size. The per-added-photon ratio is the
+    median over passes of t(n) / t(n - 1) within one pass, where the two
+    calls run back to back. Passes alternate between ascending and
+    descending n, so a drift in machine speed across a pass raises the
+    ratios of one direction and lowers those of the other instead of
+    biasing them all; a ratio of two fastest runs taken seconds apart does
+    not cancel such drift. Grid: time to evaluate every collision-free
+    outcome of one seed by per-outcome Ryser calls, reported against the
+    xi * N * 2^N operation count at a reference rate. Timings are machine-dependent; only their
     ratios are meaningful across machines. Always runs sequentially so
     timings are not distorted by contention.
     """
@@ -750,23 +703,15 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
     for n in ns:
         permanent_ryser(matrices[n])  # warmup pass, untimed
     times: dict[int, list[float]] = {n: [] for n in ns}
-    for _ in range(repeats):
-        for n in ns:
+    for rep in range(repeats):
+        for n in ns if rep % 2 == 0 else ns[::-1]:
             t_start = time.perf_counter()
             permanent_ryser(matrices[n])
             times[n].append(time.perf_counter() - t_start)
-    best_times = []
-    for n in ns:
-        best = float(min(times[n]))
-        best_times.append(best)
-        cells.append(
-            {
-                "table": "single",
-                "n": n,
-                "seconds": best,
-                "ratio_to_prev": float(best / best_times[-2]) if len(best_times) > 1 else None,
-            }
-        )
+    best_times = [float(min(times[n])) for n in ns]
+    for i, n in enumerate(ns):
+        ratio = float(np.median(np.divide(times[n], times[ns[i - 1]]))) if i else None
+        cells.append({"table": "single", "n": n, "seconds": best_times[i], "ratio_to_prev": ratio})
     fit: dict[str, float] = {}
     try:
         from scipy.optimize import curve_fit

@@ -9,14 +9,14 @@ registered functions, so the two kinds can never drift apart.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .binning import BinPartition, MPBResult, bin_probabilities, make_partition, most_probable_bin
-from .distribution import SCAN_BLOCK, ParticleStatistics, _batch_probabilities, full_distribution
+from .distribution import ParticleStatistics, full_distribution
+from .experiments import _mpb_scan, _sample_std, _thread_map
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     FockSpace,
@@ -252,37 +252,41 @@ def evaluate_images(
         else:
             results[i], _ = estimate_mpb(dist, partition, plan, children[i])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(seeds))))
-    else:
-        for i in range(len(seeds)):
-            work(i)
+    _thread_map(work, len(seeds), threads)
     diagnostics = tuple(results)  # type: ignore[arg-type]
     return ImageVector(labels=tuple(r.label for r in diagnostics), diagnostics=diagnostics)
 
 
-def _context_for(instance: ProblemInstance, spec: FunctionSpec) -> ProblemContext | None:
+def _context_for(
+    instance: ProblemInstance, spec: FunctionSpec, space: FockSpace | None
+) -> ProblemContext | None:
     if not spec.needs_context:
         return None
-    space = instance.space()
+    if space is None:
+        space = instance.space()
+    if (space.modes, space.photons) != (instance.modes, instance.photons):
+        raise ValueError("space does not match the instance's modes/photons")
     return ProblemContext(space=space, partition=make_partition(space.size, instance.num_bins))
 
 
-def solve_function(instance: ProblemInstance, images: ImageVector) -> int:
+def solve_function(
+    instance: ProblemInstance, images: ImageVector, space: FockSpace | None = None
+) -> int:
+    """Function value; `space` is the instance's space if already enumerated
+    (functions that dereference bins enumerate it otherwise)."""
     if instance.kind != "function":
         raise ValueError(f"instance kind is {instance.kind!r}, expected 'function'")
     spec = FUNCTIONS[instance.f_id]
-    return int(spec.fn(images.labels, instance.y, _context_for(instance, spec)))
+    return int(spec.fn(images.labels, instance.y, _context_for(instance, spec, space)))
 
 
-def decide(instance: ProblemInstance, images: ImageVector) -> bool:
+def decide(instance: ProblemInstance, images: ImageVector, space: FockSpace | None = None) -> bool:
     """Decision answer; by construction the predicate applied to the function value."""
     if instance.kind != "decision":
         raise ValueError(f"instance kind is {instance.kind!r}, expected 'decision'")
     pred = PREDICATES[instance.f_id]
     spec = FUNCTIONS[pred.function_id]
-    value = spec.fn(images.labels, instance.y, _context_for(instance, spec))
+    value = spec.fn(images.labels, instance.y, _context_for(instance, spec, space))
     return bool(pred.compare(value, instance.y))
 
 
@@ -351,25 +355,17 @@ def collision_probability(
         raise ValueError("space does not match the requested modes/photons")
     if ParticleStatistics.FERMION in pair and modes < photons:
         raise ValueError("fermion comparisons need modes >= photons")
-    partition = make_partition(space.size, num_bins)
-    starts = np.asarray(partition.offsets[:-1], dtype=np.intp)
     seed_idx = space.collision_free_indices if collision_free_seeds else np.arange(space.size)
     if len(seed_idx) == 0:
         raise ValueError("no collision-free seeds available")
     fractions = []
     for _ in range(unitary_count):
-        u = haar_unitary(modes, rng)
-        labels = {stats: np.empty(len(seed_idx), dtype=np.int64) for stats in pair}
-        for lo in range(0, len(seed_idx), SCAN_BLOCK):
-            block = seed_idx[lo : lo + SCAN_BLOCK]
-            for stats in pair:
-                probs = _batch_probabilities(u.matrix, block, space, stats)
-                labels[stats][lo : lo + len(block)] = np.argmax(np.add.reduceat(probs, starts, axis=0), axis=0)
+        matrix = haar_unitary(modes, rng).matrix
+        labels = {s: _mpb_scan(matrix, space, (num_bins,), seed_idx, s)[num_bins][0] for s in set(pair)}
         fractions.append(float((labels[pair[0]] == labels[pair[1]]).mean()))
     arr = np.asarray(fractions)
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return CollisionResult(
-        mean=float(arr.mean()), std=std, fractions=tuple(fractions), seed_count=len(seed_idx)
+        mean=float(arr.mean()), std=_sample_std(arr), fractions=tuple(fractions), seed_count=len(seed_idx)
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import bosonbin
 from bosonbin.cli import build_parser, main
-from bosonbin.fock import enumerate_configurations
+from bosonbin.fock import DEFAULT_ENUMERATION_LIMIT, enumerate_configurations
 from bosonbin.linalg import haar_unitary_from_seed, unitary_to_json
 from bosonbin.problems import ProblemInstance, instance_to_json
 
@@ -160,6 +160,31 @@ def test_problem_decide_pinned(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "problem", str(no_path), "--decide")
     assert code == 0
     assert stdout_json(stdout)["answer"] == "NO"
+
+
+def test_problem_enumerates_its_space_once_at_the_given_limit(tmp_path, capsys, monkeypatch):
+    import bosonbin.problems
+
+    calls = []
+
+    def counting(modes, photons, limit=DEFAULT_ENUMERATION_LIMIT):
+        calls.append((modes, photons, limit))
+        return enumerate_configurations(modes, photons, limit=limit)
+
+    monkeypatch.setattr(bosonbin.problems, "enumerate_configurations", counting)
+    path = write_instance(
+        tmp_path,
+        modes=8,
+        seeds=((1, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 1)),
+        y=(0, 1),
+        f_id="indexed_outcome",
+    )
+    code, out, _ = run_cli(capsys, "problem", path, "--solve", "--limit", "5000")
+    assert code == 0
+    # indexed_outcome dereferences bins, so the function needs the space too
+    assert calls == [(8, 3, 5000)]
+    answer = stdout_json(out)["answer"]
+    assert answer in enumerate_configurations(8, 3).codes
 
 
 def test_problem_kind_flag_mismatch(tmp_path, capsys):

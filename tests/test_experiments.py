@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bosonbin import rng as rng_policy
 from bosonbin.binning import bin_of, make_partition
 from bosonbin.experiments import (
     EXPERIMENT_DEFAULTS,
@@ -13,6 +15,10 @@ from bosonbin.experiments import (
     run_experiment,
 )
 from bosonbin.fock import enumerate_configurations
+from bosonbin.problems import collision_probability
+
+GOLDEN = Path(__file__).parent / "data" / "scan_fingerprints.json"
+SCAN_EXPERIMENTS = sorted(set(EXPERIMENTS) - {"ryser_benchmark"})
 
 
 def tiny_config(experiment, **overrides):
@@ -247,3 +253,51 @@ def test_report_json_is_strict(tmp_path):
         report.write(tmp_path)
         text = (tmp_path / f"{experiment}.json").read_text()
         json.loads(text, parse_constant=lambda s: pytest.fail(f"{experiment}: {s}"))
+
+
+def assert_matches_golden(actual, expected, where):
+    """Labels, counts and strings exactly; floats to rel 1e-12. The absolute
+    floor of 1e-15 covers min_margin = p0 - 1/d, which loses about five
+    digits to cancellation, so a 1-ulp move of p0 shows as rel ~1e-11."""
+    if isinstance(expected, float):
+        assert isinstance(actual, float), where
+        assert actual == pytest.approx(expected, rel=1e-12, abs=1e-15), where
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key in expected:
+            assert_matches_golden(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches_golden(a, e, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+@pytest.mark.parametrize("experiment", SCAN_EXPERIMENTS)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_report_matches_golden_fingerprint(experiment, threads):
+    # Captured before the scan experiments shared one driver; a change here
+    # is a change of the published numbers, not a refactor.
+    expected = json.loads(GOLDEN.read_text())[experiment]
+    actual = report_fingerprint(run_experiment(tiny_config(experiment, threads=threads)))
+    actual.pop("config")
+    assert_matches_golden(json.loads(json.dumps(actual)), expected, experiment)
+
+
+@pytest.mark.parametrize("pair,other", [("BD", "distinguishable"), ("BF", "fermion")])
+def test_collision_probability_agrees_with_collision_experiment(pair, other):
+    config = tiny_config("collision", pairs=(pair,), unitary_count=1)
+    [row] = rows_of(run_experiment(config), "collision")
+    # child 0 of the master seed is the generator the experiment's only unitary draws from
+    result = collision_probability(
+        6, 2, 2, ("boson", other), 1, rng=rng_policy.split(config.master_seed, 1)[0]
+    )
+    assert result.mean == row["p_col_mean"]
+    assert result.seed_count == row["seed_count"]
+
+
+@pytest.mark.parametrize("experiment", SCAN_EXPERIMENTS)
+def test_scan_experiments_refuse_zero_unitaries(experiment):
+    with pytest.raises(ValueError, match="unitary_count"):
+        run_experiment(tiny_config(experiment, unitary_count=0))

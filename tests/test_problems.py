@@ -92,6 +92,9 @@ def test_indexed_outcome_dereferences_bins():
     # seed j=1 labels bin 1; entry i=5 inside that bin
     expected = int(space.codes[part.offsets[1] + 5])
     assert solve_function(inst, images) == expected
+    assert solve_function(inst, images, space) == expected
+    with pytest.raises(ValueError, match="space does not match"):
+        solve_function(inst, images, enumerate_configurations(14, 3))
 
 
 def test_indexed_outcome_range_checks():
