@@ -575,6 +575,8 @@ def run_collision(config: ExperimentConfig) -> ExperimentReport:
     for p in pairs:
         if p not in _PAIR_STATS:
             raise ValueError(f"unknown statistics pair {p!r}; known: BD, BF")
+    if any(photons > modes for modes, photons in eff["cells"]):
+        raise ValueError("no collision-free seeds available")
     needed = {ParticleStatistics.BOSON} | {_PAIR_STATS[p][1] for p in pairs}
 
     def per_unitary(space, matrix, child):

@@ -5,14 +5,18 @@ numbers with ``sum(t) == N``. The canonical order of the space is ascending
 in the base-N positional code ``sum_j t_{j+1} * N**j``, which is injective
 for N >= 2. Spaces with a single photon fall back to radix 2 internally so
 the order stays total (it is then just ascending photon mode index).
+
+That order is computed as the colex rank of the sorted photon mode list a,
+``sum_j C(a_j + j, j + 1)``. The two agree: every t_j <= N and sum(t) = N,
+so no digit of the code carries, and codes compare occupations from the
+last mode down, which is colex order.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -107,7 +111,8 @@ class FockSpace:
         modes: mode count M.
         photons: photon count N.
         size: number of configurations.
-        codes: ascending list of integer codes (exact Python ints).
+        codes: ascending list of integer codes (exact Python ints),
+            built on first access.
         occupations: uint8 array of shape (size, modes); row i is
             configuration i.
     """
@@ -123,22 +128,11 @@ class FockSpace:
         self.modes = int(modes)
         self.photons = int(photons)
         self.size = size
-        radix = max(self.photons, 2)
-        powers = [radix**j for j in range(self.modes)]
-        combos = list(combinations_with_replacement(range(self.modes), self.photons))
-        codes = [sum(powers[m] for m in combo) for combo in combos]
-        order = sorted(range(size), key=codes.__getitem__)
-        self.codes = [codes[i] for i in order]
-        # strict monotonicity doubles as an injectivity check of the code
-        for a, b in zip(self.codes, self.codes[1:]):
-            if a >= b:
-                raise RuntimeError("integer codes are not strictly increasing")
-        occ = np.zeros((size, self.modes), dtype=np.uint8)
-        combo_arr = np.asarray([combos[i] for i in order], dtype=np.int64)
-        np.add.at(occ, (np.arange(size)[:, None], combo_arr), 1)
-        self.occupations = occ
         # row i lists the i-th configuration's photon mode indices, ascending
-        self.mode_combos = combo_arr
+        self.mode_combos = _colex_rows(self.modes, self.photons, distinct=False)
+        occ = np.zeros((size, self.modes), dtype=np.uint8)
+        np.add.at(occ, (np.arange(size)[:, None], self.mode_combos), 1)
+        self.occupations = occ
 
     def __repr__(self) -> str:
         return f"FockSpace(modes={self.modes}, photons={self.photons}, size={self.size})"
@@ -156,21 +150,16 @@ class FockSpace:
         """All configurations as tuples; materialized on first access."""
         return [tuple(int(v) for v in row) for row in self.occupations]
 
-    def index_of_code(self, code: int) -> int:
-        pos = bisect_left(self.codes, code)
-        if pos == self.size or self.codes[pos] != code:
-            raise KeyError(f"code {code} not in space")
-        return pos
-
     def index_of(self, configuration: Sequence[int]) -> int:
         t = validate_configuration(configuration, self.modes, self.photons)
+        combo = np.repeat(np.arange(self.modes), t)[None]
+        return int(_colex_terms(combo, distinct=False).sum())
+
+    @cached_property
+    def codes(self) -> list[int]:
         radix = max(self.photons, 2)
-        code = 0
-        power = 1
-        for v in t:
-            code += v * power
-            power *= radix
-        return self.index_of_code(code)
+        powers = [radix**j for j in range(self.modes)]
+        return [sum(map(powers.__getitem__, row)) for row in zip(*self.mode_combos.T.tolist())]
 
     @cached_property
     def collision_free_indices(self) -> np.ndarray:
@@ -193,7 +182,7 @@ class FockSpace:
 
     @cached_property
     def expansion_steps(self) -> tuple["ExpansionStep", ...]:
-        """Degree 1..N tables over photon multisets; degree N is this space in its order."""
+        """Degree 1..N tables over photon multisets; degree N is mode_combos."""
         return _expansion_steps(self.modes, self.mode_combos, distinct=False)
 
     @cached_property
@@ -219,33 +208,43 @@ class ExpansionStep:
     predecessors: np.ndarray
 
 
-def _expansion_steps(modes: int, final: np.ndarray, distinct: bool) -> tuple[ExpansionStep, ...]:
-    """Tables for every degree up to final's; intermediate degrees list all
-    k-photon rows in colex order of a_j + j (a_j for distinct modes), a
-    ranking that does not depend on the code order of any space."""
-    photons = final.shape[1]
-    offset = 0 if distinct else 1
-    binom = np.array(
-        [[math.comb(n, j) for j in range(photons + 1)] for n in range(modes + photons)], dtype=np.intp
-    )
+def _colex_terms(rows: np.ndarray, distinct: bool) -> np.ndarray:
+    """Per-position terms of the colex rank of sorted rows: C(a_j + j, j + 1),
+    or C(a_j, j + 1) over distinct modes; a row's rank is their sum."""
+    k = rows.shape[1]
+    j = np.arange(k)
+    shifted = rows if distinct else rows + j
+    top = int(shifted.max(initial=0)) + 1
+    binom = np.array([[math.comb(n, i + 1) for i in range(k)] for n in range(top)], dtype=np.intp)
+    return binom[shifted, j]
 
-    def rank(rows: np.ndarray) -> np.ndarray:
-        j = np.arange(rows.shape[1])
-        return binom[rows + offset * j, j + 1].sum(axis=1)
 
+def _colex_rows(modes: int, k: int, distinct: bool) -> np.ndarray:
+    """Every sorted k-photon row (of distinct modes if `distinct`); row r is
+    the one of colex rank r."""
     choose = combinations if distinct else combinations_with_replacement
+    rows = np.fromiter(chain.from_iterable(choose(range(modes), k)), dtype=np.intp).reshape(-1, k)
+    rank = _colex_terms(rows, distinct).sum(axis=1)
+    if not np.array_equal(np.bincount(rank, minlength=len(rows)), np.ones(len(rows))):
+        raise RuntimeError("colex rank is not a bijection onto the rows")
+    table = np.empty_like(rows)
+    table[rank] = rows
+    return table
+
+
+def _expansion_steps(modes: int, final: np.ndarray, distinct: bool) -> tuple[ExpansionStep, ...]:
+    """Tables for every degree up to final's, which must be in colex order;
+    the intermediate degrees list every k-photon row in that order."""
+    photons = final.shape[1]
     steps = []
     zero_row = 1
     for k in range(1, photons + 1):
-        if k < photons:
-            rows = np.array(list(choose(range(modes), k)), dtype=np.intp).reshape(-1, k)
-            table = np.empty_like(rows)
-            table[rank(rows)] = rows
-        else:
-            table = final
-        pred = np.empty(table.shape, dtype=np.intp)
-        for p in range(k):
-            pred[:, p] = rank(np.delete(table, p, axis=1))
+        table = final if k == photons else _colex_rows(modes, k, distinct)
+        # rank without position p: the terms before p, plus those after p
+        # moved down one position
+        terms = _colex_terms(table, distinct)
+        pred = np.cumsum(terms, axis=1) - terms
+        pred[:, :-1] += np.cumsum(_colex_terms(table[:, 1:], distinct)[:, ::-1], axis=1)[:, ::-1]
         pred[:, 1:][table[:, 1:] == table[:, :-1]] = zero_row
         steps.append(ExpansionStep(table, pred))
         zero_row = len(table)

@@ -22,6 +22,7 @@ from .fock import (
     FockSpace,
     enumerate_configurations,
     format_configuration,
+    integer_code,
     parse_configuration,
     space_size,
     validate_configuration,
@@ -119,7 +120,7 @@ def _f_indexed_outcome(x, y, ctx):
     width = ctx.partition.widths[label]
     if not 0 <= i < width:
         raise ValueError(f"offset i={i} out of range for bin {label} of width {width}")
-    return int(ctx.space.codes[ctx.partition.offsets[label] + i])
+    return integer_code(ctx.space.configuration(ctx.partition.offsets[label] + i))
 
 
 register_function("max", _f_max)

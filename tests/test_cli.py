@@ -247,6 +247,19 @@ def test_experiment_requires_master_seed(tmp_path, capsys):
     assert "master-seed" in err
 
 
+def test_collision_experiment_refuses_cell_without_collision_free_seeds(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cells": [[2, 3]], "bin_list": [2], "pairs": ["BD"]}))
+    code, _, err = run_cli(
+        capsys,
+        "experiment", "collision", "--config", str(config),
+        "--master-seed", "1", "--unitary-count", "2", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "no collision-free seeds" in err
+    assert not (tmp_path / "collision.json").exists()
+
+
 def test_experiment_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "warp_drive", "--master-seed", "1", "--out", "/tmp"])

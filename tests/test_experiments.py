@@ -301,3 +301,8 @@ def test_collision_probability_agrees_with_collision_experiment(pair, other):
 def test_scan_experiments_refuse_zero_unitaries(experiment):
     with pytest.raises(ValueError, match="unitary_count"):
         run_experiment(tiny_config(experiment, unitary_count=0))
+
+
+def test_collision_refuses_cells_without_collision_free_seeds():
+    with pytest.raises(ValueError, match="no collision-free seeds"):
+        run_experiment(tiny_config("collision", cells=((6, 2), (2, 3))))

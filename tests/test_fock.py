@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -90,16 +91,55 @@ def test_validate_configuration_errors():
     assert validate_configuration((1, 1, 0), 3, 2) == (1, 1, 0)
 
 
-def test_index_of_code_lookup(space_4_2):
-    for idx, code in enumerate(space_4_2.codes):
-        assert space_4_2.index_of_code(code) == idx
-    with pytest.raises(KeyError):
-        space_4_2.index_of_code(7)
-
-
 def test_index_of_configuration(space_4_2):
     assert space_4_2.index_of((0, 2, 0, 0)) == 2
     assert space_4_2.index_of((0, 0, 0, 2)) == 9
+
+
+@pytest.mark.parametrize("modes,photons", [(1, 1), (5, 1), (4, 2), (8, 8), (3, 18)])
+def test_index_of_round_trips(modes, photons):
+    space = enumerate_configurations(modes, photons)
+    assert [space.index_of(c) for c in space.configurations] == list(range(space.size))
+    with pytest.raises(ValueError):
+        space.index_of((photons + 1,) + (0,) * (modes - 1))
+
+
+def _code_order(modes, photons):
+    """Photon mode lists sorted by integer code (by mode index for one photon)."""
+    combos = list(combinations_with_replacement(range(modes), photons))
+    if photons == 1:
+        return np.array(combos)
+
+    def code(combo):
+        return integer_code(np.bincount(combo, minlength=modes))
+
+    return np.array(sorted(combos, key=code))
+
+
+@pytest.mark.parametrize(
+    "modes,photons",
+    [(m, n) for m in range(1, 9) for n in range(1, 7)] + [(3, 18)],
+)
+def test_mode_combos_follow_integer_code_order(modes, photons):
+    assert np.array_equal(enumerate_configurations(modes, photons).mode_combos, _code_order(modes, photons))
+
+
+@pytest.mark.parametrize("modes,photons", [(7, 4), (9, 3), (6, 6)])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_step_tables(modes, photons, distinct):
+    space = enumerate_configurations(modes, photons)
+    steps = space.fermion_steps if distinct else space.expansion_steps
+    prev = np.zeros((1, 0), dtype=np.intp)  # degree 0: the empty row
+    for k, step in enumerate(steps, start=1):
+        degree = enumerate_configurations(modes, k)
+        rows = degree.mode_combos[degree.collision_free_indices] if distinct else degree.mode_combos
+        assert np.array_equal(step.modes, rows)
+        for p in range(k):
+            repeat = step.modes[:, p] == step.modes[:, p - 1] if p else np.zeros(len(rows), bool)
+            pred = step.predecessors[:, p]
+            assert np.array_equal(pred == len(prev), repeat)
+            assert np.array_equal(prev[pred[~repeat]], np.delete(rows[~repeat], p, axis=1))
+        prev = step.modes
 
 
 def test_occupations_array(space_4_2):

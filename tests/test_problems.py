@@ -97,6 +97,15 @@ def test_indexed_outcome_dereferences_bins():
         solve_function(inst, images, enumerate_configurations(14, 3))
 
 
+def test_indexed_outcome_does_not_build_codes():
+    inst = make_instance(f_id="indexed_outcome", y=(5, 1))
+    images = ImageVector(labels=(0, 1, 1, 2, 1), diagnostics=(None,) * 5)
+    space = enumerate_configurations(15, 3)
+    answer = solve_function(inst, images, space)
+    assert "codes" not in space.__dict__
+    assert answer == space.codes[make_partition(space.size, 4).offsets[1] + 5]
+
+
 def test_indexed_outcome_range_checks():
     inst = make_instance(f_id="indexed_outcome", y=(10 ** 9, 0))
     images = ImageVector(labels=(0, 1, 1, 2, 1), diagnostics=(None,) * 5)
