@@ -729,8 +729,8 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
     for c_idx, (modes, photons) in enumerate(tuple(tuple(c) for c in eff["cells"])):
         space = enumerate_configurations(modes, photons, limit=config.limit)
         u = haar_unitary(modes, rng)
-        seed = space.configuration(int(space.collision_free_indices[0]))
-        cf_rows = space.occupations[space.collision_free_indices]
+        cf_rows = [space.configuration(int(i)) for i in space.collision_free_indices]
+        seed = cf_rows[0]
         t_start = time.perf_counter()
         total = 0.0
         for row in cf_rows:

@@ -111,10 +111,12 @@ class FockSpace:
         modes: mode count M.
         photons: photon count N.
         size: number of configurations.
+        mode_combos: intp array of shape (size, photons); row i lists the
+            photon mode indices of configuration i, ascending.
         codes: ascending list of integer codes (exact Python ints),
             built on first access.
         occupations: uint8 array of shape (size, modes); row i is
-            configuration i.
+            configuration i, built on first access.
     """
 
     def __init__(self, modes: int, photons: int, limit: int = DEFAULT_ENUMERATION_LIMIT):
@@ -128,11 +130,7 @@ class FockSpace:
         self.modes = int(modes)
         self.photons = int(photons)
         self.size = size
-        # row i lists the i-th configuration's photon mode indices, ascending
         self.mode_combos = _colex_rows(self.modes, self.photons, distinct=False)
-        occ = np.zeros((size, self.modes), dtype=np.uint8)
-        np.add.at(occ, (np.arange(size)[:, None], self.mode_combos), 1)
-        self.occupations = occ
 
     def __repr__(self) -> str:
         return f"FockSpace(modes={self.modes}, photons={self.photons}, size={self.size})"
@@ -143,7 +141,13 @@ class FockSpace:
     def configuration(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} out of range for size {self.size}")
-        return tuple(int(v) for v in self.occupations[index])
+        return tuple(np.bincount(self.mode_combos[index], minlength=self.modes).tolist())
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        occ = np.zeros((self.size, self.modes), dtype=np.uint8)
+        np.add.at(occ, (np.arange(self.size)[:, None], self.mode_combos), 1)
+        return occ
 
     @cached_property
     def configurations(self) -> list[tuple[int, ...]]:
@@ -163,7 +167,9 @@ class FockSpace:
 
     @cached_property
     def collision_free_indices(self) -> np.ndarray:
-        return np.nonzero((self.occupations <= 1).all(axis=1))[0]
+        # sorted rows repeat a mode only in adjacent positions
+        combos = self.mode_combos
+        return np.flatnonzero((combos[:, 1:] != combos[:, :-1]).all(axis=1))
 
     @cached_property
     def factorial_products(self) -> np.ndarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +65,41 @@ def _draw_cumulative(probs: np.ndarray, runs: int, rng: np.random.Generator) -> 
 
 
 def _alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Vose's method; index stacks are processed back to front, fixed order
+    # Vose's method in a fixed order that sampled draws depend on: both index
+    # stacks are ascending and consumed from the end. The current large l
+    # absorbs smalls while its residual r is >= 1; once r < 1, l is the next
+    # small and is paired at once with the next large. This does the float
+    # operations of the loop that pops one small and one large per step, in
+    # the same order, so the tables are bit-identical to it. Indices never
+    # paired keep prob 1 and their own alias.
     n = len(probs)
-    prob = np.ones(n, dtype=np.float64)
-    alias = np.arange(n, dtype=np.int64)
-    scaled = probs * n
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
+    scaled_np = probs * n
+    scaled = array("d", scaled_np.tobytes())
+    small = array("q", np.flatnonzero(scaled_np < 1.0).astype(np.int64).tobytes())
+    large = array("q", np.flatnonzero(scaled_np >= 1.0).astype(np.int64).tobytes())
+    prob = array("d", np.ones(n).tobytes())
+    alias = array("q", np.arange(n, dtype=np.int64).tobytes())
+    if small and large:
         l = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        if scaled[l] < 1.0:
-            small.append(l)
-        else:
-            large.append(l)
-    return prob, alias
+        r = scaled[l]
+        while True:
+            if r >= 1.0:
+                if not small:
+                    break
+                s = small.pop()
+                x = scaled[s]
+                prob[s] = x
+                alias[s] = l
+                r -= 1.0 - x
+            else:
+                if not large:
+                    break
+                l2 = large.pop()
+                prob[l] = r
+                alias[l] = l2
+                r = scaled[l2] - (1.0 - r)
+                l = l2
+    return np.frombuffer(prob, dtype=np.float64), np.frombuffer(alias, dtype=np.int64)
 
 
 def _draw_alias(probs: np.ndarray, runs: int, rng: np.random.Generator) -> np.ndarray:

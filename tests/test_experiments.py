@@ -285,6 +285,34 @@ def test_scan_report_matches_golden_fingerprint(experiment, threads):
     assert_matches_golden(json.loads(json.dumps(actual)), expected, experiment)
 
 
+# Grid rows of the quick ryser_benchmark (short single table), recorded while
+# the collision-free rows were still read from FockSpace.occupations.
+RYSER_QUICK_GRID = [
+    {"cf_mass": 0.6728124927854593, "model_seconds_at_reference": 4.8e-08, "modes": 4,
+     "photons": 2, "space_size": 10, "table": "grid", "xi": 6},
+    {"cf_mass": 0.7787056108921713, "model_seconds_at_reference": 2.24e-07, "modes": 8,
+     "photons": 2, "space_size": 36, "table": "grid", "xi": 28},
+    {"cf_mass": 0.8672444859705924, "model_seconds_at_reference": 9.6e-07, "modes": 16,
+     "photons": 2, "space_size": 136, "table": "grid", "xi": 120},
+    {"cf_mass": 0.5269130349194383, "model_seconds_at_reference": 2.016e-06, "modes": 9,
+     "photons": 3, "space_size": 165, "table": "grid", "xi": 84},
+    {"cf_mass": 0.711786846521974, "model_seconds_at_reference": 1.9584e-05, "modes": 18,
+     "photons": 3, "space_size": 1140, "table": "grid", "xi": 816},
+    {"cf_mass": 0.45309060234151444, "model_seconds_at_reference": 0.00011648, "modes": 16,
+     "photons": 4, "space_size": 3876, "table": "grid", "xi": 1820},
+]
+
+
+def test_ryser_benchmark_grid_matches_recorded_fingerprint():
+    config = ExperimentConfig(
+        experiment="ryser_benchmark", master_seed=1, quick=True, n_range=(6, 9), repeats=1
+    )
+    fp = report_fingerprint(run_experiment(config))
+    assert fp["summary"] == {"repeats": 1, "reference_flops": 1e9}
+    grid = [c for c in fp["cells"] if c["table"] == "grid"]
+    assert_matches_golden(json.loads(json.dumps(grid)), RYSER_QUICK_GRID, "ryser_benchmark")
+
+
 @pytest.mark.parametrize("pair,other", [("BD", "distinguishable"), ("BF", "fermion")])
 def test_collision_probability_agrees_with_collision_experiment(pair, other):
     config = tiny_config("collision", pairs=(pair,), unitary_count=1)

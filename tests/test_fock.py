@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bosonbin import rng as rng_policy
+from bosonbin.distribution import full_distribution
 from bosonbin.fock import (
     CapacityError,
     FockSpace,
@@ -18,6 +19,7 @@ from bosonbin.fock import (
     space_size,
     validate_configuration,
 )
+from bosonbin.linalg import haar_unitary_from_seed
 
 # All ten two-photon states on four modes, in code order.
 FOUR_TWO_CONFIGS = [
@@ -158,6 +160,30 @@ def test_mode_combos_reconstruct_occupations(space_11_3):
     for p in range(3):
         np.add.at(rebuilt, (np.arange(space_11_3.size), combos[:, p]), 1)
     assert np.array_equal(rebuilt, space_11_3.occupations)
+
+
+def test_occupations_built_on_first_access():
+    space = FockSpace(6, 3)
+    assert "occupations" not in vars(space)
+    space.index_of((1, 0, 2, 0, 0, 0))
+    space.configuration(7)
+    space.collision_free_indices
+    u = haar_unitary_from_seed(6, 4)
+    full_distribution(u, (1, 1, 1, 0, 0, 0), space=space)
+    full_distribution(u, (1, 1, 1, 0, 0, 0), "fermion", space=space)
+    assert "occupations" not in vars(space)
+    assert space.occupations.shape == (space.size, 6)
+    assert "occupations" in vars(space)
+
+
+@pytest.mark.parametrize("modes,photons", [(1, 1), (1, 3), (5, 1), (4, 2), (11, 3), (7, 7)])
+def test_mode_combos_readers_match_occupations(modes, photons):
+    space = FockSpace(modes, photons)
+    occ = space.occupations
+    assert occ.dtype == np.uint8 and occ.shape == (space.size, modes)
+    expected = [tuple(int(v) for v in row) for row in occ]
+    assert [space.configuration(i) for i in range(space.size)] == expected
+    assert np.array_equal(space.collision_free_indices, np.nonzero((occ <= 1).all(axis=1))[0])
 
 
 def test_factorial_products(space_4_2):

@@ -1,8 +1,11 @@
+import hashlib
 import math
 from decimal import ROUND_CEILING, Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonbin import rng as rng_policy
 from bosonbin.binning import make_partition
@@ -11,6 +14,7 @@ from bosonbin.linalg import haar_unitary_from_seed, identity_unitary
 from bosonbin.sampling import (
     ALIAS_METHOD_THRESHOLD,
     SamplePlan,
+    _alias_tables,
     chernoff_sample_size,
     draw_outcomes,
     empirical_binned,
@@ -122,6 +126,131 @@ def test_draw_outcomes_input_checks(haar_dist):
         draw_outcomes(haar_dist, 0, rng_policy.generator(1))
     with pytest.raises(ValueError):
         draw_outcomes(haar_dist, 10, rng_policy.generator(1), method="metropolis")
+
+
+def _counts_digest(counts):
+    return hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()
+
+
+def test_alias_draws_match_recorded_stream(haar_dist):
+    # Digests recorded with the stack-loop Vose tables; every sampled answer
+    # above ALIAS_METHOD_THRESHOLD outcomes depends on this stream.
+    wide_dist = full_distribution(haar_unitary_from_seed(40, 3), (1, 1, 1, 1) + (0,) * 36)
+    assert wide_dist.space.size > ALIAS_METHOD_THRESHOLD  # so "auto" is alias
+    auto = draw_outcomes(wide_dist, 20_000, rng_policy.generator(2024))
+    assert _counts_digest(auto) == "99a405809bda49a2273574feef2ee9ded543027227315466f89601c31794a8fc"
+    alias = draw_outcomes(haar_dist, 5_000, rng_policy.generator(17), method="alias")
+    assert _counts_digest(alias) == "e486d536447963f037292685f6f446172a730f9dd8af7523405faecffadb46a5"
+
+
+def _vose_reference(probs):
+    """Vose's alias method as a plain stack loop: one small and one large
+    popped per step, the large pushed back to whichever stack its residual
+    belongs on. Test-only oracle for _alias_tables."""
+    n = len(probs)
+    prob = np.ones(n, dtype=np.float64)
+    alias = np.arange(n, dtype=np.int64)
+    scaled = probs * n
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        if scaled[l] < 1.0:
+            small.append(l)
+        else:
+            large.append(l)
+    return prob, alias
+
+
+def assert_tables_match_reference(probs):
+    prob, alias = _alias_tables(probs)
+    ref_prob, ref_alias = _vose_reference(probs)
+    assert prob.dtype == np.float64 and alias.dtype == np.int64
+    assert np.array_equal(prob.view(np.int64), ref_prob.view(np.int64))
+    assert np.array_equal(alias, ref_alias)
+    return prob, alias
+
+
+def table_excess(probs, prob, alias):
+    """Scaled mass each outcome gets from the tables, minus n * probs."""
+    return prob + np.bincount(alias, weights=1.0 - prob, minlength=len(probs)) - probs * len(probs)
+
+
+@st.composite
+def probability_vectors(draw):
+    """Random vectors summing to 1 or 1 +- 1e-7, or dyadic ones, on which
+    residuals land exactly on 1.0 and the tie r == 1 decides the stack."""
+    if draw(st.booleans()):
+        n = 1 << draw(st.integers(0, 6))
+        weights = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+        total = 1 << max(sum(weights), 1).bit_length()
+        weights[-1] += total - sum(weights)
+        return np.asarray(weights) / total
+    n = draw(st.integers(1, 300))
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=n, max_size=n)
+    )
+    total = math.fsum(weights)
+    scale = draw(st.sampled_from([1.0, 1.0 - 1e-7, 1.0 + 1e-7]))
+    if total == 0.0:
+        weights[draw(st.integers(0, n - 1))] = 1.0
+        total = 1.0
+    return np.asarray(weights) / total * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(probability_vectors())
+def test_alias_tables_match_vose_reference(probs):
+    assert_tables_match_reference(probs)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [1.0],
+        [0.3, 0.7],
+        [0.5, 0.5],
+        [0.0, 1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.25, 0.0, 0.5, 0.0, 0.25],
+        [0.1, 0.0, 0.2, 0.0, 0.3, 0.4],
+        [0.125, 0.125, 0.375, 0.375],
+    ],
+    ids=["n1", "n2", "n2-uniform", "n2-point", "point-mass", "zeros", "zeros-ramp", "residual-1"],
+)
+def test_alias_tables_explicit_cases(probs):
+    probs = np.asarray(probs)
+    prob, alias = assert_tables_match_reference(probs)
+    assert np.abs(table_excess(probs, prob, alias)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 10])
+def test_alias_tables_uniform_power_of_two_is_identity(k):
+    # every scaled value is exactly 1.0, so no small exists and no step runs
+    probs = np.full(1 << k, 1.0 / (1 << k))
+    prob, alias = assert_tables_match_reference(probs)
+    assert np.array_equal(prob, np.ones(1 << k))
+    assert np.array_equal(alias, np.arange(1 << k))
+
+
+@pytest.mark.parametrize("n", [7, 1000])
+def test_alias_tables_stop_where_either_stack_runs_out(n):
+    base = rng_policy.generator(n).random(n)
+    base /= base.sum()
+    # short of 1: larges run out and a small keeps prob 1, gaining mass
+    short = base * (1.0 - 1e-7)
+    excess = table_excess(short, *assert_tables_match_reference(short))
+    assert excess.max() == pytest.approx(n * 1e-7, rel=1e-6)
+    assert excess.min() > -1e-12
+    # over 1: smalls run out and a large is left with residual above 1
+    over = base * (1.0 + 1e-7)
+    excess = table_excess(over, *assert_tables_match_reference(over))
+    assert excess.min() == pytest.approx(-n * 1e-7, rel=1e-6)
+    assert excess.max() < 1e-12
 
 
 def test_empirical_binned_aggregates_counts(haar_dist):
