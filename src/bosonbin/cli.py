@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .binning import bin_probabilities, make_partition, most_probable_bin
 from .distribution import full_distribution
@@ -99,9 +100,7 @@ def cmd_mpb(args: argparse.Namespace) -> int:
             method=args.method,
             rng_seed=args.rng_seed,
         )
-    payload.update(
-        label=result.label, p0=result.p0, p1=result.p1, gap=result.gap, tie_flag=result.tie_flag
-    )
+    payload.update(asdict(result))
     _emit(payload, args.out)
     return 0
 
@@ -148,16 +147,7 @@ def cmd_problem(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "y": list(instance.y),
         "labels": list(images.labels),
-        "diagnostics": [
-            {
-                "label": r.label,
-                "p0": r.p0,
-                "p1": r.p1,
-                "gap": r.gap,
-                "tie_flag": r.tie_flag,
-            }
-            for r in images.diagnostics
-        ],
+        "diagnostics": [asdict(r) for r in images.diagnostics],
         "answer": answer,
     }
     if plan is not None:
@@ -241,9 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", help="JSON config file")
     p_exp.add_argument("--master-seed", type=int, help="master seed (required unless in config)")
     p_exp.add_argument("--out", required=True, help="output directory")
-    p_exp.add_argument("--quick", action="store_true", help="reduced unitary counts")
+    p_exp.add_argument(
+        "--quick", action="store_true", help="fewer unitaries; ryser_benchmark: smaller n, fewer repeats"
+    )
     p_exp.add_argument("--threads", type=int)
-    p_exp.add_argument("--unitary-count", type=int, help="override the unitary count")
+    p_exp.add_argument("--unitary-count", type=int, help="override the unitary count (not ryser_benchmark)")
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

@@ -89,18 +89,21 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
     },
     "ryser_benchmark": {
         "n_range": (14, 20),
+        "quick_n_range": (10, 14),
         "repeats": 8,
+        "quick_repeats": 3,
         "cells": ((4, 2), (8, 2), (16, 2), (9, 3), (18, 3), (16, 4)),
-        "unitary_count": 1,
-        "quick_unitary_count": 1,
     },
 }
+
+# fields every experiment takes; its other settings are its non-quick_ defaults
+RUN_FIELDS = ("experiment", "master_seed", "quick", "threads", "limit")
 
 
 @dataclass
 class ExperimentConfig:
-    """Knobs for one experiment run; None fields fall back to the defaults
-    registered for the experiment id."""
+    """Knobs for one experiment run; an experiment takes RUN_FIELDS and the
+    settings of its EXPERIMENT_DEFAULTS entry, and None falls back to those."""
 
     experiment: str
     master_seed: int
@@ -123,26 +126,23 @@ class ExperimentConfig:
     limit: int = DEFAULT_ENUMERATION_LIMIT
 
     def resolved(self) -> dict[str, Any]:
-        """Effective settings: registered defaults overridden by set fields."""
+        """Registered defaults (quick_<key> replacing <key> under quick) overridden
+        by set fields; a set field the experiment does not read is refused."""
         if self.experiment not in EXPERIMENT_DEFAULTS:
             known = ", ".join(sorted(EXPERIMENT_DEFAULTS))
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
-        eff = dict(EXPERIMENT_DEFAULTS[self.experiment])
-        quick_count = eff.pop("quick_unitary_count")
-        if self.quick:
-            eff["unitary_count"] = quick_count
-        for key, value in asdict(self).items():
-            if key in ("experiment", "quick", "threads", "master_seed", "limit"):
-                continue
-            if value is not None:
-                eff[key] = value
-        eff.update(
-            experiment=self.experiment,
-            master_seed=self.master_seed,
-            quick=self.quick,
-            threads=self.threads,
-            limit=self.limit,
-        )
+        defaults = EXPERIMENT_DEFAULTS[self.experiment]
+        settings = [k for k in defaults if not k.startswith("quick_")]
+        given = {k: v for k, v in asdict(self).items() if k not in RUN_FIELDS and v is not None}
+        refused = sorted(set(given) - set(settings))
+        if refused:
+            raise ValueError(
+                f"{self.experiment} does not take {', '.join(refused)}; "
+                f"its settings: {', '.join(settings)}"
+            )
+        eff = {k: defaults.get(f"quick_{k}" if self.quick else k, defaults[k]) for k in settings}
+        eff.update(given)
+        eff.update({k: getattr(self, k) for k in RUN_FIELDS})
         return _plain(eff)
 
     def to_json(self) -> dict[str, Any]:
@@ -165,7 +165,9 @@ class ExperimentConfig:
         unknown = set(tupled) - valid
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**tupled)
+        config = cls(**tupled)
+        config.resolved()
+        return config
 
 
 def _plain(value: Any) -> Any:
@@ -460,6 +462,8 @@ def run_pmax_histogram(config: ExperimentConfig) -> ExperimentReport:
     eff = config.resolved()
     bin_list = tuple(eff["bin_list"])
     dp = float(eff["dp"])
+    if not 0 < dp <= 1:
+        raise ValueError(f"dp must be in (0, 1], got {dp}")
     edges = np.arange(0.0, 1.0 + dp, dp)
 
     def per_unitary(space, matrix, child):
@@ -695,6 +699,8 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
     started, t0 = _now(), time.perf_counter()
     n_lo, n_hi = eff["n_range"]
     repeats = eff["repeats"]
+    if not (1 <= n_lo <= n_hi and repeats >= 1):
+        raise ValueError(f"need 1 <= n_lo <= n_hi and repeats >= 1, got {[n_lo, n_hi]} and {repeats}")
     rng = rng_policy.generator(config.master_seed)
     cells: list[dict[str, Any]] = []
     ns = list(range(n_lo, n_hi + 1))

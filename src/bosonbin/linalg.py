@@ -55,7 +55,7 @@ class UnitaryMatrix:
         m = np.ascontiguousarray(_as_matrix(self.matrix), dtype=np.complex128)
         if m.shape[0] < 1:
             raise ValueError("unitary must have at least one mode")
-        dev = float(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max())
+        dev = unitarity_deviation(m)
         if dev > UNITARITY_TOL:
             raise ValueError(
                 f"matrix is not unitary within {UNITARITY_TOL:g} "
@@ -92,7 +92,8 @@ def haar_unitary(modes: int, rng: np.random.Generator) -> UnitaryMatrix:
 def haar_unitary_from_seed(modes: int, seed: int) -> UnitaryMatrix:
     """Seeded Haar draw with a reproducible "haar-<seed>" tag."""
     u = haar_unitary(modes, rng_policy.generator(seed))
-    return UnitaryMatrix(u.matrix, haar_seed=int(seed), tag=f"haar-{seed}")
+    u.haar_seed, u.tag = int(seed), f"haar-{seed}"
+    return u
 
 
 def identity_unitary(modes: int) -> UnitaryMatrix:

@@ -260,6 +260,28 @@ def test_collision_experiment_refuses_cell_without_collision_free_seeds(tmp_path
     assert not (tmp_path / "collision.json").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment,config,argv",
+    [
+        ("gap_fraction", {"cells": [[9, 3]]}, []),
+        ("ryser_benchmark", {}, ["--unitary-count", "3"]),
+        ("pmax_histogram", {"dp": 0}, []),
+    ],
+)
+def test_experiment_refuses_bad_settings_before_any_work(tmp_path, capsys, experiment, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "reports"
+    code, _, err = run_cli(
+        capsys,
+        "experiment", experiment, "--config", str(path), "--master-seed", "1",
+        "--out", str(out_dir), *argv,
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_experiment_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "warp_drive", "--master-seed", "1", "--out", "/tmp"])

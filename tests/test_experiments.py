@@ -9,6 +9,7 @@ from bosonbin.binning import bin_of, make_partition
 from bosonbin.experiments import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
+    RUN_FIELDS,
     ExperimentConfig,
     _mpb_scan,
     report_fingerprint,
@@ -65,8 +66,76 @@ def test_resolved_rejects_unknown_experiment():
 
 def test_experiment_registry_matches_defaults():
     assert set(EXPERIMENTS) == set(EXPERIMENT_DEFAULTS)
-    for name in EXPERIMENTS:
-        assert "quick_unitary_count" in EXPERIMENT_DEFAULTS[name]
+    fields = set(ExperimentConfig.__dataclass_fields__) - set(RUN_FIELDS)
+    for name, defaults in EXPERIMENT_DEFAULTS.items():
+        for key in defaults:
+            if key.startswith("quick_"):
+                assert key.removeprefix("quick_") in defaults, (name, key)
+            else:
+                assert key in fields, (name, key)
+        timed = name == "ryser_benchmark"
+        assert ("unitary_count" in defaults) is not timed, name
+        assert ("quick_unitary_count" in defaults) is not timed, name
+
+
+def settings_of(experiment):
+    return [k for k in EXPERIMENT_DEFAULTS[experiment] if not k.startswith("quick_")]
+
+
+def foreign_setting(experiment):
+    """A setting another experiment takes and this one does not, with the
+    other experiment's default as its value."""
+    for other in sorted(EXPERIMENT_DEFAULTS):
+        for key in settings_of(other):
+            if key not in settings_of(experiment):
+                return key, EXPERIMENT_DEFAULTS[other][key]
+    raise AssertionError(experiment)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_settings_of_another_experiment_are_refused(experiment):
+    key, value = foreign_setting(experiment)
+    config = tiny_config(experiment, **{key: value})
+    with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
+        config.resolved()
+    with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
+        run_experiment(config)
+    with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
+        ExperimentConfig.from_json(json.loads(json.dumps(config.to_json())))
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_resolved_records_exactly_the_settings(experiment):
+    for quick in (False, True):
+        eff = ExperimentConfig(experiment=experiment, master_seed=1, quick=quick).resolved()
+        assert set(eff) == set(settings_of(experiment)) | set(RUN_FIELDS)
+
+
+def test_ryser_benchmark_quick_is_smaller():
+    eff = ExperimentConfig(experiment="ryser_benchmark", master_seed=1, quick=True).resolved()
+    assert eff["n_range"] == [10, 14]
+    assert eff["repeats"] == 3
+    assert "unitary_count" not in eff
+    full = ExperimentConfig(experiment="ryser_benchmark", master_seed=1).resolved()
+    assert (full["n_range"], full["repeats"]) == ([14, 20], 8)
+    pinned = ExperimentConfig(experiment="ryser_benchmark", master_seed=1, quick=True, repeats=2)
+    assert pinned.resolved()["repeats"] == 2
+
+
+@pytest.mark.parametrize(
+    "experiment,overrides,match",
+    [
+        ("pmax_histogram", dict(dp=0.0), "dp"),
+        ("pmax_histogram", dict(dp=-0.1), "dp"),
+        ("pmax_histogram", dict(dp=1.5), "dp"),
+        ("ryser_benchmark", dict(n_range=(9, 6)), "n_lo <= n_hi"),
+        ("ryser_benchmark", dict(n_range=(0, 3)), "1 <= n_lo"),
+        ("ryser_benchmark", dict(repeats=0), "repeats"),
+    ],
+)
+def test_out_of_range_settings_are_refused(experiment, overrides, match):
+    with pytest.raises(ValueError, match=match):
+        run_experiment(tiny_config(experiment, **overrides))
 
 
 def test_config_json_round_trip():
