@@ -142,6 +142,12 @@ class ExperimentConfig:
             )
         eff = {k: defaults.get(f"quick_{k}" if self.quick else k, defaults[k]) for k in settings}
         eff.update(given)
+        for key in ("unitary_count", "seed_limit", "seed_sample"):
+            if key in eff and eff[key] < 1:
+                raise ValueError(f"{key} must be >= 1, got {eff[key]}")
+        for key in ("photon_list", "bin_list", "epsilon_list", "cells", "pairs"):
+            if key in eff and len(eff[key]) == 0:
+                raise ValueError(f"{key} must not be empty")
         eff.update({k: getattr(self, k) for k in RUN_FIELDS})
         return _plain(eff)
 
@@ -334,8 +340,6 @@ def _scan_experiment(
     eff = config.resolved()
     started, t0 = _now(), time.perf_counter()
     count = eff["unitary_count"]
-    if count < 1:
-        raise ValueError(f"unitary_count must be >= 1, got {count}")
     children = rng_policy.split(config.master_seed, len(grid) * count)
     results: CellResults = []
     for c_idx, (modes, photons) in enumerate(grid):
@@ -720,7 +724,7 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
     for i, n in enumerate(ns):
         ratio = float(np.median(np.divide(times[n], times[ns[i - 1]]))) if i else None
         cells.append({"table": "single", "n": n, "seconds": best_times[i], "ratio_to_prev": ratio})
-    fit: dict[str, float] = {}
+    fit: dict[str, float | None] = dict.fromkeys(("fit_a", "fit_b", "fit_c"))  # null if not fitted
     try:
         from scipy.optimize import curve_fit
 
@@ -728,10 +732,11 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
             return a * n * np.exp2(b * n) + c
 
         p0 = (best_times[0] / (ns[0] * 2.0 ** ns[0]), 1.0, 0.0)
-        popt, _ = curve_fit(model, np.asarray(ns, dtype=float), np.asarray(best_times), p0=p0, maxfev=20000)
-        fit = {"fit_a": float(popt[0]), "fit_b": float(popt[1]), "fit_c": float(popt[2])}
+        if len(ns) >= 3:  # one size per parameter at least
+            popt, _ = curve_fit(model, np.asarray(ns, dtype=float), np.asarray(best_times), p0=p0, maxfev=20000)
+            fit = {"fit_a": float(popt[0]), "fit_b": float(popt[1]), "fit_c": float(popt[2])}
     except Exception:
-        fit = {"fit_a": float("nan"), "fit_b": float("nan"), "fit_c": float("nan")}
+        pass
     for c_idx, (modes, photons) in enumerate(tuple(tuple(c) for c in eff["cells"])):
         space = enumerate_configurations(modes, photons, limit=config.limit)
         u = haar_unitary(modes, rng)

@@ -6,17 +6,17 @@ in the base-N positional code ``sum_j t_{j+1} * N**j``, which is injective
 for N >= 2. Spaces with a single photon fall back to radix 2 internally so
 the order stays total (it is then just ascending photon mode index).
 
-That order is computed as the colex rank of the sorted photon mode list a,
-``sum_j C(a_j + j, j + 1)``. The two agree: every t_j <= N and sum(t) = N,
-so no digit of the code carries, and codes compare occupations from the
-last mode down, which is colex order.
+That order is the colex order of the sorted photon mode lists a (rank
+``sum_j C(a_j + j, j + 1)``): every t_j <= N, so no digit of the code
+carries, and codes compare occupations from the last mode down. One
+recursive pass builds the rows of every photon count and their predecessors.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -113,6 +113,8 @@ class FockSpace:
         size: number of configurations.
         mode_combos: intp array of shape (size, photons); row i lists the
             photon mode indices of configuration i, ascending.
+        expansion_steps: degree 1..N tables over photon multisets, built
+            with the space; degree N's rows are mode_combos.
         codes: ascending list of integer codes (exact Python ints),
             built on first access.
         occupations: uint8 array of shape (size, modes); row i is
@@ -130,7 +132,8 @@ class FockSpace:
         self.modes = int(modes)
         self.photons = int(photons)
         self.size = size
-        self.mode_combos = _colex_rows(self.modes, self.photons, distinct=False)
+        self.expansion_steps = _colex_steps(self.modes, self.photons, distinct=False)
+        self.mode_combos = self.expansion_steps[-1].modes
 
     def __repr__(self) -> str:
         return f"FockSpace(modes={self.modes}, photons={self.photons}, size={self.size})"
@@ -156,8 +159,8 @@ class FockSpace:
 
     def index_of(self, configuration: Sequence[int]) -> int:
         t = validate_configuration(configuration, self.modes, self.photons)
-        combo = np.repeat(np.arange(self.modes), t)[None]
-        return int(_colex_terms(combo, distinct=False).sum())
+        combo = [m for m, count in enumerate(t) for _ in range(count)]
+        return sum(math.comb(a + j, j + 1) for j, a in enumerate(combo))
 
     @cached_property
     def codes(self) -> list[int]:
@@ -187,15 +190,10 @@ class FockSpace:
         return out
 
     @cached_property
-    def expansion_steps(self) -> tuple["ExpansionStep", ...]:
-        """Degree 1..N tables over photon multisets; degree N is mode_combos."""
-        return _expansion_steps(self.modes, self.mode_combos, distinct=False)
-
-    @cached_property
     def fermion_steps(self) -> tuple["ExpansionStep", ...]:
         """Degree 1..N tables over sets of distinct modes; degree N is the
         collision-free configurations in the order of collision_free_indices."""
-        return _expansion_steps(self.modes, self.mode_combos[self.collision_free_indices], distinct=True)
+        return _colex_steps(self.modes, self.photons, distinct=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,47 +212,56 @@ class ExpansionStep:
     predecessors: np.ndarray
 
 
-def _colex_terms(rows: np.ndarray, distinct: bool) -> np.ndarray:
-    """Per-position terms of the colex rank of sorted rows: C(a_j + j, j + 1),
-    or C(a_j, j + 1) over distinct modes; a row's rank is their sum."""
-    k = rows.shape[1]
-    j = np.arange(k)
-    shifted = rows if distinct else rows + j
-    top = int(shifted.max(initial=0)) + 1
-    binom = np.array([[math.comb(n, i + 1) for i in range(k)] for n in range(top)], dtype=np.intp)
-    return binom[shifted, j]
+def _colex_steps(modes: int, photons: int, distinct: bool) -> tuple[ExpansionStep, ...]:
+    """Tables for degrees 1..photons; degree k lists every sorted k-photon row
+    (of distinct modes if `distinct`) in colex order.
 
-
-def _colex_rows(modes: int, k: int, distinct: bool) -> np.ndarray:
-    """Every sorted k-photon row (of distinct modes if `distinct`); row r is
-    the one of colex rank r."""
-    choose = combinations if distinct else combinations_with_replacement
-    rows = np.fromiter(chain.from_iterable(choose(range(modes), k)), dtype=np.intp).reshape(-1, k)
-    rank = _colex_terms(rows, distinct).sum(axis=1)
-    if not np.array_equal(np.bincount(rank, minlength=len(rows)), np.ones(len(rows))):
-        raise RuntimeError("colex rank is not a bijection onto the rows")
-    table = np.empty_like(rows)
-    table[rank] = rows
-    return table
-
-
-def _expansion_steps(modes: int, final: np.ndarray, distinct: bool) -> tuple[ExpansionStep, ...]:
-    """Tables for every degree up to final's, which must be in colex order;
-    the intermediate degrees list every k-photon row in that order."""
-    photons = final.shape[1]
-    steps = []
-    zero_row = 1
-    for k in range(1, photons + 1):
-        table = final if k == photons else _colex_rows(modes, k, distinct)
-        # rank without position p: the terms before p, plus those after p
-        # moved down one position
-        terms = _colex_terms(table, distinct)
-        pred = np.cumsum(terms, axis=1) - terms
-        pred[:, :-1] += np.cumsum(_colex_terms(table[:, 1:], distinct)[:, ::-1], axis=1)[:, ::-1]
-        pred[:, 1:][table[:, 1:] == table[:, :-1]] = zero_row
-        steps.append(ExpansionStep(table, pred))
-        zero_row = len(table)
+    Colex order sorts rows by their last mode first, so the degree-k rows
+    that end in mode m are a prefix of the degree-(k - 1) table (its rows
+    with every mode <= m, or < m if distinct), each followed by m. Without
+    its last position such a row is its prefix row i. Without position
+    p < k - 1 it is the degree-(k - 2) row raw[i, p] followed by m, which
+    sits below[m] rows further down the degree-(k - 1) table, below[m] being
+    the number of degree-(k - 1) rows with every mode < m.
+    """
+    rows = np.arange(modes, dtype=np.intp)[:, None]
+    raw = np.zeros((modes, 1), dtype=np.intp)  # degree 0 is the empty row
+    steps = [ExpansionStep(rows, raw)]
+    for k in range(2, photons + 1):
+        below = [math.comb(m if distinct else m + k - 2, k - 1) for m in range(modes + 1)]
+        counts = below[:-1] if distinct else below[1:]
+        starts = list(accumulate(counts, initial=0))
+        prev, prev_raw = rows, raw
+        rows = np.empty((starts[-1], k), dtype=np.intp)
+        raw = np.empty_like(rows)
+        for m, count in enumerate(counts):
+            block = slice(starts[m], starts[m + 1])
+            rows[block, :-1] = prev[:count]
+            rows[block, -1] = m
+            np.add(prev_raw[:count], below[m], out=raw[block, :-1])
+            raw[block, -1] = np.arange(count)
+        pred = raw
+        if not distinct:  # a position that repeats the one before it takes the zero row
+            pred = raw.copy()
+            np.copyto(pred[:, 1:], len(prev), where=rows[:, 1:] == rows[:, :-1])
+        steps.append(ExpansionStep(rows, pred))
+    _check_colex(rows, modes, distinct)
     return tuple(steps)
+
+
+def _check_colex(rows: np.ndarray, modes: int, distinct: bool) -> None:
+    """Raise unless `rows` is every sorted row over range(modes) once, in colex
+    order: as many sorted rows as exist, each strictly after the one before."""
+    size, k = rows.shape
+    expected = math.comb(modes, k) if distinct else math.comb(modes + k - 1, k)
+    in_order = np.greater if distinct else np.greater_equal
+    sorted_rows = all(in_order(rows[:, j], rows[:, j - 1]).all() for j in range(1, k))
+    after = np.zeros(max(size - 1, 0), dtype=bool)  # row r + 1 after row r, on the columns so far
+    for lo, hi in zip(rows[:-1].T, rows[1:].T):
+        after = (hi > lo) | ((hi == lo) & after)
+    in_range = size == 0 or (rows[:, 0].min() >= 0 and rows[:, -1].max() < modes)
+    if not (size == expected and in_range and sorted_rows and after.all()):
+        raise RuntimeError("colex tables do not list every sorted row once, in colex order")
 
 
 def enumerate_configurations(

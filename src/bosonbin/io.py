@@ -24,7 +24,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, payload: Any) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def read_json(path: str | Path) -> Any:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,36 +69,39 @@ def _alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # absorbs smalls while its residual r is >= 1; once r < 1, l is the next
     # small and is paired at once with the next large. This does the float
     # operations of the loop that pops one small and one large per step, in
-    # the same order, so the tables are bit-identical to it. Indices never
-    # paired keep prob 1 and their own alias.
+    # the same order, so the tables are bit-identical to it; the table entries
+    # are set after the walk. Indices never paired keep prob 1 and own alias.
     n = len(probs)
-    scaled_np = probs * n
-    scaled = array("d", scaled_np.tobytes())
-    small = array("q", np.flatnonzero(scaled_np < 1.0).astype(np.int64).tobytes())
-    large = array("q", np.flatnonzero(scaled_np >= 1.0).astype(np.int64).tobytes())
-    prob = array("d", np.ones(n).tobytes())
-    alias = array("q", np.arange(n, dtype=np.int64).tobytes())
-    if small and large:
-        l = large.pop()
-        r = scaled[l]
+    prob = probs * n  # a small keeps its scaled value once it is taken
+    smalls = np.flatnonzero(prob < 1.0)[::-1]
+    larges = np.flatnonzero(prob >= 1.0)[::-1]
+    alias = np.arange(n, dtype=np.int64)
+    i = j = 0  # smalls taken, larges demoted
+    if len(smalls) and len(larges):
+        taken = np.zeros(len(larges), dtype=np.int64)  # smalls taken when large j is left
+        residuals = np.zeros(len(larges))  # prob of large j once demoted
+        # memoryviews index as fast as typed arrays, without a copy
+        d, v = memoryview(1.0 - prob[smalls]), memoryview(prob[larges])  # deficits, values
+        t, res = memoryview(taken), memoryview(residuals)
+        count, last = len(d), len(v) - 1
+        r = v[0]
         while True:
-            if r >= 1.0:
-                if not small:
-                    break
-                s = small.pop()
-                x = scaled[s]
-                prob[s] = x
-                alias[s] = l
-                r -= 1.0 - x
-            else:
-                if not large:
-                    break
-                l2 = large.pop()
-                prob[l] = r
-                alias[l] = l2
-                r = scaled[l2] - (1.0 - r)
-                l = l2
-    return np.frombuffer(prob, dtype=np.float64), np.frombuffer(alias, dtype=np.int64)
+            while r >= 1.0 and i < count:
+                r -= d[i]
+                i += 1
+            t[j] = i
+            if r >= 1.0 or j == last:
+                break
+            res[j] = r
+            r = v[j + 1] - (1.0 - r)
+            j += 1
+        # larges 0..j took smalls 0..i-1
+        alias[smalls[:i]] = np.repeat(larges[: j + 1], np.diff(taken[: j + 1], prepend=0))
+        alias[larges[:j]] = larges[1 : j + 1]
+        prob[larges[:j]] = residuals[:j]
+    prob[smalls[i:]] = 1.0
+    prob[larges[j:]] = 1.0
+    return prob, alias
 
 
 def _draw_alias(probs: np.ndarray, runs: int, rng: np.random.Generator) -> np.ndarray:

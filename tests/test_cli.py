@@ -282,6 +282,29 @@ def test_experiment_refuses_bad_settings_before_any_work(tmp_path, capsys, exper
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment,setting,config",
+    [
+        ("mpb_seed_scan", "seed_limit", {"seed_limit": 0, "modes": 5, "photons": 2}),
+        ("maxprob_scaling", "seed_sample", {"seed_sample": 0, "cells": [[4, 2]], "unitary_count": 1}),
+        ("bin_fraction", "photon_list", {"photon_list": [], "modes": 5, "unitary_count": 1}),
+        ("gap_fraction", "epsilon_list", {"epsilon_list": [], "modes": 5, "photons": 2, "unitary_count": 1}),
+        ("collision", "pairs", {"pairs": [], "cells": [[6, 2]], "unitary_count": 1}),
+    ],
+)
+def test_experiment_names_an_empty_or_zero_setting(tmp_path, capsys, experiment, setting, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "reports"
+    code, _, err = run_cli(
+        capsys,
+        "experiment", experiment, "--config", str(path), "--master-seed", "1", "--out", str(out_dir),
+    )
+    assert code == 2
+    assert err.startswith(f"error: {setting} must")
+    assert not out_dir.exists()
+
+
 def test_experiment_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "warp_drive", "--master-seed", "1", "--out", "/tmp"])

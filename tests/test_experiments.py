@@ -16,6 +16,7 @@ from bosonbin.experiments import (
     run_experiment,
 )
 from bosonbin.fock import enumerate_configurations
+from bosonbin.io import write_json
 from bosonbin.problems import collision_probability
 
 GOLDEN = Path(__file__).parent / "data" / "scan_fingerprints.json"
@@ -131,6 +132,14 @@ def test_ryser_benchmark_quick_is_smaller():
         ("ryser_benchmark", dict(n_range=(9, 6)), "n_lo <= n_hi"),
         ("ryser_benchmark", dict(n_range=(0, 3)), "1 <= n_lo"),
         ("ryser_benchmark", dict(repeats=0), "repeats"),
+        ("mpb_seed_scan", dict(seed_limit=0), "seed_limit must be >= 1"),
+        ("maxprob_scaling", dict(seed_sample=0), "seed_sample must be >= 1"),
+        ("bin_fraction", dict(photon_list=()), "photon_list must not be empty"),
+        ("pmax_histogram", dict(bin_list=()), "bin_list must not be empty"),
+        ("gap_fraction", dict(epsilon_list=()), "epsilon_list must not be empty"),
+        ("collision", dict(cells=()), "cells must not be empty"),
+        ("collision", dict(pairs=()), "pairs must not be empty"),
+        ("maxprob_scaling", dict(cells=()), "cells must not be empty"),
     ],
 )
 def test_out_of_range_settings_are_refused(experiment, overrides, match):
@@ -322,6 +331,19 @@ def test_report_json_is_strict(tmp_path):
         report.write(tmp_path)
         text = (tmp_path / f"{experiment}.json").read_text()
         json.loads(text, parse_constant=lambda s: pytest.fail(f"{experiment}: {s}"))
+
+
+def test_ryser_benchmark_writes_null_fit_below_three_sizes(tmp_path):
+    report = run_experiment(tiny_config("ryser_benchmark", n_range=(6, 7), cells=((4, 2),)))
+    report.write(tmp_path)
+    payload = json.loads((tmp_path / "ryser_benchmark.json").read_text(), parse_constant=pytest.fail)
+    assert [payload["summary"][k] for k in ("fit_a", "fit_b", "fit_c")] == [None] * 3
+
+
+def test_write_json_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "bad.json", {"x": float("nan")})
+    assert not (tmp_path / "bad.json").exists()
 
 
 def assert_matches_golden(actual, expected, where):

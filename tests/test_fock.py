@@ -9,6 +9,7 @@ from bosonbin.distribution import full_distribution
 from bosonbin.fock import (
     CapacityError,
     FockSpace,
+    _check_colex,
     collision_free_count,
     enumerate_configurations,
     format_configuration,
@@ -142,6 +143,71 @@ def test_step_tables(modes, photons, distinct):
             assert np.array_equal(pred == len(prev), repeat)
             assert np.array_equal(prev[pred[~repeat]], np.delete(rows[~repeat], p, axis=1))
         prev = step.modes
+
+
+def _colex_rank(row, distinct):
+    """Colex rank of one sorted row, from the combinatorial number system."""
+    return sum(math.comb(int(a) + (0 if distinct else j), j + 1) for j, a in enumerate(row))
+
+
+@pytest.mark.parametrize("modes,photons", [(60, 4), (18, 4), (25, 3)])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_step_tables_at_benchmark_sizes(modes, photons, distinct):
+    space = enumerate_configurations(modes, photons)
+    steps = space.fermion_steps if distinct else space.expansion_steps
+    rng = rng_policy.generator(modes * 10 + photons)
+    prev = np.zeros((1, 0), dtype=np.intp)
+    for k, step in enumerate(steps, start=1):
+        rows = step.modes
+        assert len(rows) == (math.comb(modes, k) if distinct else math.comb(modes + k - 1, k))
+        sample = rng.choice(len(rows), size=min(1000, len(rows)), replace=False)
+        assert [_colex_rank(rows[i], distinct) for i in sample] == sample.tolist()
+        if k == photons and not distinct:
+            assert [space.index_of(space.configuration(int(i))) for i in sample] == sample.tolist()
+        for i in sample:
+            for p in range(k):
+                pred = step.predecessors[i, p]
+                if p and rows[i, p] == rows[i, p - 1]:
+                    assert pred == len(prev)
+                else:
+                    assert np.array_equal(prev[pred], np.delete(rows[i], p))
+        prev = rows
+    if distinct:
+        assert np.array_equal(steps[-1].modes, space.mode_combos[space.collision_free_indices])
+
+
+def _swap(rows):
+    rows[[3, 4]] = rows[[4, 3]]
+    return rows
+
+
+def _repeat(rows):
+    rows[5] = rows[4]
+    return rows
+
+
+def _drop_last(rows):
+    return rows[:-1]
+
+
+def _unsort(rows):
+    rows[-2] = rows[-2][::-1]
+    return rows
+
+
+def _out_of_range(rows):
+    rows[-1, -1] += 1
+    return rows
+
+
+@pytest.mark.parametrize("corrupt", [_swap, _repeat, _drop_last, _unsort, _out_of_range])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_colex_check_refuses_a_corrupted_table(corrupt, distinct):
+    space = enumerate_configurations(7, 3)
+    rows = space.fermion_steps[-1].modes if distinct else space.mode_combos
+    _check_colex(rows, 7, distinct)
+    with pytest.raises(RuntimeError, match="colex"):
+        _check_colex(corrupt(rows.copy()), 7, distinct)
 
 
 def test_occupations_array(space_4_2):

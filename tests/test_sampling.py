@@ -208,6 +208,13 @@ def test_alias_tables_match_vose_reference(probs):
     assert_tables_match_reference(probs)
 
 
+def test_alias_tables_match_vose_reference_at_benchmark_size():
+    # the (60 modes, 4 photons) space; exponential weights are the
+    # Porter-Thomas shape of a Haar boson distribution
+    weights = rng_policy.generator(595_665).exponential(size=595_665)
+    assert_tables_match_reference(weights / weights.sum())
+
+
 @pytest.mark.parametrize(
     "probs",
     [
