@@ -3,15 +3,33 @@
 Bins partition the code-ordered space into d contiguous index ranges whose
 widths differ by at most one: with q = size mod d, the first q bins get
 floor(size / d) + 1 entries and the rest floor(size / d).
+
+Bin masses come by two routes, each the other's oracle: the kernel's full
+distributions summed per bin (`bin_probabilities`), and `exact_bin_masses`,
+which sums classes of outcomes without enumerating the space.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
+from itertools import groupby
+from typing import Any, Sequence
 
 import numpy as np
 
-from .distribution import BSDistribution
+from .distribution import BSDistribution, ParticleStatistics, _expand
+from .fock import (
+    DEFAULT_ENUMERATION_LIMIT,
+    CapacityError,
+    _colex_steps,
+    is_collision_free,
+    space_size,
+    unrank,
+    validate_configuration,
+)
+from .linalg import _as_matrix
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,115 @@ def bin_probabilities(dist: BSDistribution, partition: BinPartition) -> BinnedDi
         unitary_tag=dist.unitary_tag,
         statistics=dist.statistics.value,
     )
+
+
+def exact_bin_masses(
+    unitary: Any,
+    seed: Sequence[int],
+    num_bins: int,
+    statistics: "str | ParticleStatistics" = ParticleStatistics.BOSON,
+    limit: int = DEFAULT_ENUMERATION_LIMIT,
+) -> np.ndarray:
+    """Exact masses of the num_bins bins of one seed's output distribution,
+    without enumerating the space: the work grows with the photon and bin
+    counts, not with the space size.
+
+    A bin's mass is the difference of the prefix masses at its offsets. The
+    outcomes ranked below an outcome with sorted modes b form at most N
+    classes: class j keeps b's modes above position j (the multiset F of f
+    photons) and puts the other N - f photons anywhere in the modes S below
+    b_j. Every mode of S lies below every mode of F, so r! = F! r_S!. With
+    A the seed's photon columns of U, a Laplace expansion along the rows F
+    and the Binet-Cauchy theorem for the rows in S (Minc, Permanents, 1978)
+    give the boson class mass
+
+        sum over f-subsets T, T' of the seed photons of
+        conj(e_T') Per(G[T'^c, T^c]) e_T / (F! s!),
+        with e_T = Per(A[F, T]) and G = A_S^H A_S.
+
+    Fermions take determinants and the Laplace sign (-1)^(sum T).
+    Distinguishable particles take A = |U|^2 columns and need no G: their
+    class mass is sum_T e_T prod_{c not in T} (sum_{i in S} A[i, c]) / F!.
+    The e_T of a class are one `_expand` call, and so are all Gram
+    permanents.
+
+    Raises CapacityError before any work when num_bins or the largest
+    `_expand` table exceeds `limit`.
+    """
+    stats = ParticleStatistics.from_string(statistics)
+    matrix = _as_matrix(unitary)
+    modes = matrix.shape[0]
+    seed_t = validate_configuration(seed, modes, sum(int(v) for v in seed))
+    photons = sum(seed_t)
+    if num_bins > limit:
+        raise CapacityError(f"{num_bins} bins exceed the limit of {limit}")
+    partition = make_partition(space_size(modes, photons), num_bins)
+    fermion = stats is ParticleStatistics.FERMION
+    gram = stats is not ParticleStatistics.DISTINGUISHABLE
+    if fermion and not is_collision_free(seed_t):
+        raise ValueError("fermion seeds must be collision-free")
+    prefixes = [_prefix_classes(unrank(modes, photons, r)) for r in partition.offsets[1:-1]]
+    prefixes.append([((), modes)])  # every outcome: the total mass
+    largest = max(_table_entries(photons, len(fixed), gram) for classes in prefixes for fixed, _ in classes)
+    if largest > limit:
+        raise CapacityError(
+            f"exact bin masses of {photons} photons need a table of {largest} entries, "
+            f"exceeding the limit of {limit}"
+        )
+    columns = matrix[:, np.repeat(np.arange(modes), seed_t)]
+    if gram:
+        columns = columns.astype(np.complex128, copy=False)
+        norm = math.prod(math.factorial(v) for v in seed_t)
+    else:
+        columns, norm = np.abs(columns) ** 2, 1
+    steps = cache(lambda n, k: _colex_steps(n, k, distinct=True))
+    prefix = [
+        sum(_class_mass(columns, fixed, bound, steps, stats) for fixed, bound in classes) / norm
+        for classes in prefixes
+    ]
+    return np.diff(prefix, prepend=0.0)
+
+
+def _prefix_classes(configuration: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(F, bound) of each nonempty class of the outcomes ranked below
+    `configuration`: F its sorted modes above position j, bound its mode at j."""
+    b = [m for m, count in enumerate(configuration) for _ in range(count)]
+    return [(tuple(b[j + 1 :]), b[j]) for j in range(len(b)) if b[j] > 0]
+
+
+def _table_entries(photons: int, fixed: int, gram: bool) -> int:
+    """Entries of the largest `_expand` array of a class with `fixed`
+    photons: one column per subset T, times the most rows of any degree."""
+    free = photons - fixed
+    rows = math.comb(fixed, fixed // 2)
+    if gram:
+        rows = max(rows, math.comb(photons, min(free, photons // 2)))
+    return math.comb(photons, free) * rows
+
+
+def _class_mass(
+    columns: np.ndarray, fixed: tuple[int, ...], bound: int, steps, stats: ParticleStatistics
+) -> float:
+    """Mass of one class times the seed's s! (its norm in `exact_bin_masses`)."""
+    photons = columns.shape[1]
+    f = len(fixed)
+    fermion = stats is ParticleStatistics.FERMION
+    free_steps = steps(photons, photons - f)
+    rest = free_steps[-1].modes  # the complements T^c
+    keep = np.ones((len(rest), photons), dtype=bool)
+    keep[np.arange(len(rest))[:, None], rest] = False
+    subsets = np.nonzero(keep)[1].reshape(len(rest), f)  # the T
+    e = _expand(columns[list(fixed)], subsets, steps(f, f), fermion)[0] if f else np.ones(1)
+    fixed_factorial = math.prod(math.factorial(len(list(run))) for _, run in groupby(fixed))
+    inside = columns[:bound]
+    if stats is ParticleStatistics.DISTINGUISHABLE:
+        value = e @ inside.sum(axis=0)[rest].prod(axis=1)
+    else:
+        if fermion:
+            e = e * (-1.0) ** subsets.sum(axis=1)
+        minors = _expand(inside.conj().T @ inside, rest, free_steps, fermion)  # Per(G[T'^c, T^c])
+        value = np.vdot(e, minors @ e).real
+    return float(value) / fixed_factorial
 
 
 @dataclass(frozen=True)

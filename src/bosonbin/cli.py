@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .binning import bin_probabilities, make_partition, most_probable_bin
+from .binning import exact_bin_masses, make_partition, mpb_from_vector
 from .distribution import full_distribution
 from .experiments import ExperimentConfig, EXPERIMENTS, run_experiment
 from .fock import CapacityError, DEFAULT_ENUMERATION_LIMIT, parse_configuration
@@ -73,22 +73,22 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 def cmd_mpb(args: argparse.Namespace) -> int:
     seed = parse_configuration(args.seed_config)
     unitary = _resolve_unitary(args, len(seed))
-    dist = full_distribution(unitary, seed, limit=args.limit)
-    partition = make_partition(dist.space.size, args.bins)
     payload = {
         "schema_version": 1,
-        "modes": dist.space.modes,
-        "photons": dist.space.photons,
+        "modes": len(seed),
+        "photons": sum(seed),
         "bins": args.bins,
         "seed": args.seed_config,
         "unitary_tag": unitary.tag,
         "mode": args.mode,
     }
     if args.mode == "exact":
-        result = most_probable_bin(bin_probabilities(dist, partition))
+        result = mpb_from_vector(exact_bin_masses(unitary, seed, args.bins, limit=args.limit))
     else:
         if args.rng_seed is None:
             raise ValueError("sampled mode needs --rng-seed")
+        dist = full_distribution(unitary, seed, limit=args.limit)
+        partition = make_partition(dist.space.size, args.bins)
         plan = chernoff_sample_size(args.bins, args.epsilon, args.delta, args.eta, args.gamma)
         result, _ = estimate_mpb(dist, partition, plan, generator(args.rng_seed), method=args.method)
         payload.update(
@@ -112,7 +112,6 @@ def cmd_problem(args: argparse.Namespace) -> int:
     if args.decide and instance.kind != "decision":
         raise ValueError(f"--decide needs a decision instance, got kind {instance.kind!r}")
     unitary = instance.resolve_unitary()
-    space = instance.space(limit=args.limit)
     plan = None
     rng = None
     if args.mode == "sampled":
@@ -126,16 +125,16 @@ def cmd_problem(args: argparse.Namespace) -> int:
         unitary,
         instance.seeds,
         instance.num_bins,
-        space=space,
         mode=args.mode,
         plan=plan,
         rng=rng,
         threads=args.threads,
+        limit=args.limit,
     )
     if instance.kind == "function":
-        answer: int | str = solve_function(instance, images, space)
+        answer: int | str = solve_function(instance, images)
     else:
-        answer = "YES" if decide(instance, images, space) else "NO"
+        answer = "YES" if decide(instance, images) else "NO"
     payload = {
         "schema_version": 1,
         "kind": instance.kind,

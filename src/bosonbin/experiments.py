@@ -148,6 +148,8 @@ class ExperimentConfig:
         for key in ("photon_list", "bin_list", "epsilon_list", "cells", "pairs"):
             if key in eff and len(eff[key]) == 0:
                 raise ValueError(f"{key} must not be empty")
+        if "epsilon_list" in eff and not all(0 < e < 1 for e in eff["epsilon_list"]):
+            raise ValueError(f"epsilon_list must lie in (0, 1), got {list(eff['epsilon_list'])}")
         eff.update({k: getattr(self, k) for k in RUN_FIELDS})
         return _plain(eff)
 

@@ -88,6 +88,31 @@ def integer_code(configuration: Sequence[int], photons: int | None = None) -> in
     return code
 
 
+def unrank(modes: int, photons: int, rank: int) -> tuple[int, ...]:
+    """Configuration at `rank` of the canonical order; the inverse of
+    `FockSpace.index_of`, without enumerating the space.
+
+    The rank of sorted modes a is sum_j C(a_j + j, j + 1) with a_j + j
+    strictly increasing, so from the last position down each a_j + j is the
+    largest c with C(c, j + 1) <= the rank left (Knuth, TAOCP 4A 7.2.1.3).
+    """
+    size = space_size(modes, photons)
+    if not 0 <= rank < size:
+        raise IndexError(f"rank {rank} out of range for size {size}")
+    occupation = [0] * modes
+    for j in range(photons - 1, -1, -1):
+        lo, hi = j, modes - 1 + j
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if math.comb(mid, j + 1) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= math.comb(lo, j + 1)
+        occupation[lo - j] += 1
+    return tuple(occupation)
+
+
 def format_configuration(configuration: Sequence[int]) -> str:
     return ",".join(str(int(v)) for v in configuration)
 

@@ -15,7 +15,6 @@ from . import rng as rng_policy
 UNITARITY_TOL = 1e-10
 RYSER_MAX_DIM = 30
 NAIVE_MAX_DIM = 9
-DIRECT_MAX_DIM = 24
 
 
 def _as_matrix(matrix: Any) -> np.ndarray:
@@ -146,32 +145,6 @@ def permanent_ryser(matrix: Any, max_dim: int = RYSER_MAX_DIM) -> complex:
             row_sums -= cols[j]
         sign = -sign
         total += sign * row_sums.prod()
-    if n % 2:
-        total = -total
-    return complex(total)
-
-
-def permanent_ryser_direct(matrix: Any, max_dim: int = DIRECT_MAX_DIM) -> complex:
-    """Ryser's formula with every subset's row sums rebuilt from scratch.
-
-    Slower than the Gray-code walk; kept as an independently coded
-    cross-check of `permanent_ryser`.
-    """
-    m = _as_matrix(matrix)
-    n = m.shape[0]
-    if n < 1:
-        raise ValueError("matrix must be at least 1x1")
-    if n > max_dim:
-        raise CapacityError(f"permanent of a {n}x{n} matrix exceeds the {max_dim} limit")
-    m = np.asarray(m, dtype=np.complex128)
-    total = 0.0 + 0.0j
-    block = 1 << 14
-    for start in range(1, 1 << n, block):
-        subsets = np.arange(start, min(start + block, 1 << n), dtype=np.int64)
-        bits = ((subsets[:, None] >> np.arange(n)) & 1).astype(np.float64)
-        row_sums = bits @ m.T
-        signs = np.where(bits.sum(axis=1) % 2 == 1, -1.0, 1.0)
-        total += (signs * row_sums.prod(axis=1)).sum()
     if n % 2:
         total = -total
     return complex(total)

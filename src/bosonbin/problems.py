@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .binning import BinPartition, MPBResult, bin_probabilities, make_partition, most_probable_bin
+from .binning import BinPartition, MPBResult, exact_bin_masses, make_partition, mpb_from_vector
 from .distribution import ParticleStatistics, full_distribution
 from .experiments import _mpb_scan, _sample_std, _thread_map
 from .fock import (
@@ -25,6 +25,7 @@ from .fock import (
     integer_code,
     parse_configuration,
     space_size,
+    unrank,
     validate_configuration,
 )
 from .linalg import (
@@ -42,9 +43,10 @@ MAX_SEED_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class ProblemContext:
-    """Space and partition handed to functions that need to dereference bins."""
+    """Space shape and partition handed to functions that dereference bins."""
 
-    space: FockSpace
+    modes: int
+    photons: int
     partition: BinPartition
 
 
@@ -120,7 +122,7 @@ def _f_indexed_outcome(x, y, ctx):
     width = ctx.partition.widths[label]
     if not 0 <= i < width:
         raise ValueError(f"offset i={i} out of range for bin {label} of width {width}")
-    return integer_code(ctx.space.configuration(ctx.partition.offsets[label] + i))
+    return integer_code(unrank(ctx.modes, ctx.photons, ctx.partition.offsets[label] + i))
 
 
 register_function("max", _f_max)
@@ -198,9 +200,6 @@ class ProblemInstance:
             return self.unitary
         return haar_unitary_from_seed(self.modes, self.haar_seed)
 
-    def space(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> FockSpace:
-        return enumerate_configurations(self.modes, self.photons, limit=limit)
-
 
 @dataclass(frozen=True)
 class ImageVector:
@@ -214,7 +213,6 @@ def evaluate_images(
     unitary: Any,
     seeds: Sequence[Sequence[int]],
     num_bins: int,
-    space: FockSpace | None = None,
     mode: str = "exact",
     plan: SamplePlan | None = None,
     rng: np.random.Generator | None = None,
@@ -224,33 +222,33 @@ def evaluate_images(
 ) -> ImageVector:
     """MPB label of every seed's output distribution.
 
-    mode "exact" reads labels off the exact binned masses; "sampled" draws
-    plan.n_min runs per seed (child generators split by seed index, so the
-    result is independent of thread scheduling).
+    mode "exact" reads labels off `exact_bin_masses`, without enumerating
+    the space; "sampled" enumerates it once at `limit` and draws plan.n_min
+    runs per seed (child generators split by seed index, so the result is
+    independent of thread scheduling).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    matrix = _as_matrix(unitary)
-    if space is None:
-        if not seeds:
-            raise ValueError("need at least one seed")
-        photons = int(sum(int(v) for v in seeds[0]))
-        space = enumerate_configurations(matrix.shape[0], photons, limit=limit)
-    partition = make_partition(space.size, num_bins)
+    photons = {sum(int(v) for v in seed) for seed in seeds}
+    if len(photons) != 1:
+        raise ValueError(f"seeds must share one photon count, got {sorted(photons) or 'no seeds'}")
     stats = ParticleStatistics.from_string(statistics)
     if mode == "sampled":
         if plan is None or rng is None:
             raise ValueError("sampled mode needs a SamplePlan and a generator")
         if plan.num_bins != num_bins:
             raise ValueError(f"plan covers {plan.num_bins} bins, requested {num_bins}")
+        space = enumerate_configurations(_as_matrix(unitary).shape[0], photons.pop(), limit=limit)
+        partition = make_partition(space.size, num_bins)
         children = rng.spawn(len(seeds))
     results: list[MPBResult | None] = [None] * len(seeds)
 
     def work(i: int) -> None:
-        dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
         if mode == "exact":
-            results[i] = most_probable_bin(bin_probabilities(dist, partition))
+            masses = exact_bin_masses(unitary, seeds[i], num_bins, statistics=stats, limit=limit)
+            results[i] = mpb_from_vector(masses)
         else:
+            dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
             results[i], _ = estimate_mpb(dist, partition, plan, children[i])
 
     _thread_map(work, len(seeds), threads)
@@ -258,36 +256,28 @@ def evaluate_images(
     return ImageVector(labels=tuple(r.label for r in diagnostics), diagnostics=diagnostics)
 
 
-def _context_for(
-    instance: ProblemInstance, spec: FunctionSpec, space: FockSpace | None
-) -> ProblemContext | None:
+def _context_for(instance: ProblemInstance, spec: FunctionSpec) -> ProblemContext | None:
     if not spec.needs_context:
         return None
-    if space is None:
-        space = instance.space()
-    if (space.modes, space.photons) != (instance.modes, instance.photons):
-        raise ValueError("space does not match the instance's modes/photons")
-    return ProblemContext(space=space, partition=make_partition(space.size, instance.num_bins))
+    size = space_size(instance.modes, instance.photons)
+    return ProblemContext(instance.modes, instance.photons, make_partition(size, instance.num_bins))
 
 
-def solve_function(
-    instance: ProblemInstance, images: ImageVector, space: FockSpace | None = None
-) -> int:
-    """Function value; `space` is the instance's space if already enumerated
-    (functions that dereference bins enumerate it otherwise)."""
+def solve_function(instance: ProblemInstance, images: ImageVector) -> int:
+    """Function value of the instance at the image vector."""
     if instance.kind != "function":
         raise ValueError(f"instance kind is {instance.kind!r}, expected 'function'")
     spec = FUNCTIONS[instance.f_id]
-    return int(spec.fn(images.labels, instance.y, _context_for(instance, spec, space)))
+    return int(spec.fn(images.labels, instance.y, _context_for(instance, spec)))
 
 
-def decide(instance: ProblemInstance, images: ImageVector, space: FockSpace | None = None) -> bool:
+def decide(instance: ProblemInstance, images: ImageVector) -> bool:
     """Decision answer; by construction the predicate applied to the function value."""
     if instance.kind != "decision":
         raise ValueError(f"instance kind is {instance.kind!r}, expected 'decision'")
     pred = PREDICATES[instance.f_id]
     spec = FUNCTIONS[pred.function_id]
-    value = spec.fn(images.labels, instance.y, _context_for(instance, spec, space))
+    value = spec.fn(images.labels, instance.y, _context_for(instance, spec))
     return bool(pred.compare(value, instance.y))
 
 

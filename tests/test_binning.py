@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonbin.binning import (
     BinPartition,
     bin_of,
     bin_probabilities,
+    exact_bin_masses,
     make_partition,
     most_probable_bin,
     mpb_from_vector,
     top_gap,
 )
-from bosonbin.distribution import full_distribution
-from bosonbin.fock import enumerate_configurations
+from bosonbin.distribution import (
+    ParticleStatistics,
+    _batch_probabilities,
+    full_distribution,
+    transition_probability,
+)
+from bosonbin.fock import enumerate_configurations, is_collision_free, space_size
 from bosonbin.linalg import haar_unitary_from_seed
 
 
@@ -159,3 +167,40 @@ def test_partition_is_frozen():
     assert isinstance(part, BinPartition)
     with pytest.raises(AttributeError):
         part.num_bins = 3
+
+
+@st.composite
+def bin_mass_cases(draw):
+    """(matrix, seed, bin count) on 2 <= M <= 6 modes with N <= 4 photons:
+    Haar or permutation unitaries, seeds that may bunch, and bin counts from
+    2 to the space size, the size itself drawn often."""
+    modes = draw(st.integers(2, 6))
+    photons = draw(st.integers(1, 4))
+    placed = draw(st.lists(st.integers(0, modes - 1), min_size=photons, max_size=photons))
+    seed = tuple(placed.count(m) for m in range(modes))
+    if draw(st.booleans()):
+        matrix = haar_unitary_from_seed(modes, draw(st.integers(0, 2**16))).matrix
+    else:
+        matrix = np.zeros((modes, modes), dtype=np.complex128)
+        matrix[draw(st.permutations(range(modes))), np.arange(modes)] = 1.0
+    size = space_size(modes, photons)
+    return matrix, seed, draw(st.one_of(st.just(size), st.integers(2, size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bin_mass_cases())
+def test_exact_bin_masses_match_the_kernel(case):
+    matrix, seed, num_bins = case
+    space = enumerate_configurations(len(seed), sum(seed))
+    starts = np.asarray(make_partition(space.size, num_bins).offsets[:-1])
+    for stats in ParticleStatistics:
+        if stats is ParticleStatistics.FERMION and not is_collision_free(seed):
+            with pytest.raises(ValueError, match="collision-free"):
+                exact_bin_masses(matrix, seed, num_bins, stats)
+            continue
+        masses = exact_bin_masses(matrix, seed, num_bins, stats)
+        probs = _batch_probabilities(matrix, [space.index_of(seed)], space, stats)[:, 0]
+        assert np.allclose(masses, np.add.reduceat(probs, starts), rtol=0, atol=1e-13)
+        if num_bins == space.size:  # one outcome per bin
+            direct = [transition_probability(matrix, seed, r, stats) for r in space.configurations]
+            assert np.allclose(masses, direct, rtol=0, atol=1e-13)

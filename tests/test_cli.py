@@ -11,7 +11,15 @@ import pytest
 
 import bosonbin
 from bosonbin.cli import build_parser, main
-from bosonbin.fock import DEFAULT_ENUMERATION_LIMIT, enumerate_configurations
+from bosonbin.binning import make_partition
+from bosonbin.fock import (
+    DEFAULT_ENUMERATION_LIMIT,
+    FockSpace,
+    enumerate_configurations,
+    integer_code,
+    space_size,
+    unrank,
+)
 from bosonbin.linalg import haar_unitary_from_seed, unitary_to_json
 from bosonbin.problems import ProblemInstance, instance_to_json
 
@@ -166,25 +174,72 @@ def test_problem_enumerates_its_space_once_at_the_given_limit(tmp_path, capsys, 
     import bosonbin.problems
 
     calls = []
+    spaces = []
 
     def counting(modes, photons, limit=DEFAULT_ENUMERATION_LIMIT):
         calls.append((modes, photons, limit))
         return enumerate_configurations(modes, photons, limit=limit)
 
+    built = FockSpace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spaces.append(args)
+        built(self, *args, **kwargs)
+
     monkeypatch.setattr(bosonbin.problems, "enumerate_configurations", counting)
-    path = write_instance(
-        tmp_path,
-        modes=8,
-        seeds=((1, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 1)),
-        y=(0, 1),
-        f_id="indexed_outcome",
-    )
+    monkeypatch.setattr(FockSpace, "__init__", counting_init)
+    seeds = ((1, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 1))
+    path = write_instance(tmp_path, modes=8, seeds=seeds, y=(0, 1), f_id="indexed_outcome")
     code, out, _ = run_cli(capsys, "problem", path, "--solve", "--limit", "5000")
     assert code == 0
-    # indexed_outcome dereferences bins, so the function needs the space too
-    assert calls == [(8, 3, 5000)]
+    # exact labels and indexed_outcome's dereference both work without the space
+    assert calls == [] and spaces == []
     answer = stdout_json(out)["answer"]
     assert answer in enumerate_configurations(8, 3).codes
+    spaces.clear()  # the line above built one
+    path = write_instance(tmp_path, modes=8, seeds=seeds, y=(3,), kind="decision", f_id="sum_greater")
+    code, _, _ = run_cli(
+        capsys, "problem", path, "--decide", "--mode", "sampled", "--rng-seed", "3", "--limit", "5000"
+    )
+    assert code == 0
+    assert calls == [(8, 3, 5000)] and len(spaces) == 1
+
+
+def test_exact_problem_and_mpb_run_above_the_enumeration_limit(tmp_path, capsys):
+    seeds = tuple(tuple(modes.count(m) for m in range(100)) for modes in (
+        (0, 1, 2, 3, 4, 5), (10, 30, 50, 70, 90, 99), (7, 7, 7, 40, 41, 98)))
+    # 100 modes and 6 photons: 1.6e9 outcomes, far above the default limit
+    path = write_instance(tmp_path, modes=100, photons=6, seeds=seeds, y=(5, 2), f_id="indexed_outcome")
+    code, out, err = run_cli(capsys, "problem", path, "--solve")
+    assert code == 0, err
+    payload = stdout_json(out)
+    assert all(0 <= x < 4 for x in payload["labels"])
+    assert all(d["p0"] >= d["p1"] > 0 for d in payload["diagnostics"])
+    offset = make_partition(space_size(100, 6), 4).offsets[payload["labels"][2]] + 5
+    assert payload["answer"] == integer_code(unrank(100, 6, offset))
+    config = ",".join(map(str, seeds[1]))
+    code, out, err = run_cli(capsys, "mpb", "--seed-config", config, "--haar-seed", "5", "--bins", "3")
+    assert code == 0, err
+    mpb = stdout_json(out)
+    assert (mpb["modes"], mpb["photons"], mpb["bins"]) == (100, 6, 3)
+    assert mpb["p0"] >= mpb["p1"] and 0 <= mpb["label"] < 3
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        # the largest Gram table of 6 photons has C(6, 3)^2 = 400 entries
+        (("--limit", "399"), "table of 400 entries, exceeding the limit of 399"),
+        (("--bins", "5000", "--limit", "4999"), "5000 bins exceed the limit of 4999"),
+    ],
+)
+def test_exact_mpb_refuses_work_above_the_limit(capsys, extra, message):
+    argv = ["mpb", "--seed-config", ",".join(["1"] * 6 + ["0"] * 94), "--haar-seed", "5", "--bins", "4"]
+    code, _, err = run_cli(capsys, *argv, *extra)
+    assert code == 3
+    assert message in err
+    code, _, err = run_cli(capsys, *argv, "--limit", "400")
+    assert code == 0, err
 
 
 def test_problem_kind_flag_mismatch(tmp_path, capsys):
@@ -290,6 +345,10 @@ def test_experiment_refuses_bad_settings_before_any_work(tmp_path, capsys, exper
         ("bin_fraction", "photon_list", {"photon_list": [], "modes": 5, "unitary_count": 1}),
         ("gap_fraction", "epsilon_list", {"epsilon_list": [], "modes": 5, "photons": 2, "unitary_count": 1}),
         ("collision", "pairs", {"pairs": [], "cells": [[6, 2]], "unitary_count": 1}),
+        *(
+            ("gap_fraction", "epsilon_list", {"epsilon_list": [e], "modes": 5, "unitary_count": 1})
+            for e in (-1.0, 0, 1.0, float("nan"))  # json.dumps writes the NaN literal
+        ),
     ],
 )
 def test_experiment_names_an_empty_or_zero_setting(tmp_path, capsys, experiment, setting, config):

@@ -140,6 +140,10 @@ def test_ryser_benchmark_quick_is_smaller():
         ("collision", dict(cells=()), "cells must not be empty"),
         ("collision", dict(pairs=()), "pairs must not be empty"),
         ("maxprob_scaling", dict(cells=()), "cells must not be empty"),
+        ("gap_fraction", dict(epsilon_list=(0.05, -1.0)), r"epsilon_list must lie in \(0, 1\)"),
+        ("gap_fraction", dict(epsilon_list=(0.0,)), r"epsilon_list must lie in \(0, 1\)"),
+        ("gap_fraction", dict(epsilon_list=(1.0,)), r"epsilon_list must lie in \(0, 1\)"),
+        ("gap_fraction", dict(epsilon_list=(float("nan"),)), r"epsilon_list must lie in \(0, 1\)"),
     ],
 )
 def test_out_of_range_settings_are_refused(experiment, overrides, match):

@@ -18,6 +18,7 @@ from bosonbin.fock import (
     parse_configuration,
     random_seed,
     space_size,
+    unrank,
     validate_configuration,
 )
 from bosonbin.linalg import haar_unitary_from_seed
@@ -103,8 +104,21 @@ def test_index_of_configuration(space_4_2):
 def test_index_of_round_trips(modes, photons):
     space = enumerate_configurations(modes, photons)
     assert [space.index_of(c) for c in space.configurations] == list(range(space.size))
+    assert [unrank(modes, photons, i) for i in range(space.size)] == space.configurations
     with pytest.raises(ValueError):
         space.index_of((photons + 1,) + (0,) * (modes - 1))
+    for rank in (-1, space.size):
+        with pytest.raises(IndexError):
+            unrank(modes, photons, rank)
+
+
+def test_unrank_at_benchmark_size():
+    space = enumerate_configurations(60, 4)
+    ranks = rng_policy.generator(4).choice(space.size, size=2000, replace=False)
+    for rank in [0, space.size - 1, *ranks.tolist()]:
+        configuration = unrank(60, 4, rank)
+        assert configuration == space.configuration(rank)
+        assert space.index_of(configuration) == rank
 
 
 def _code_order(modes, photons):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bosonbin import rng as rng_policy
-from bosonbin.fock import CapacityError
+from bosonbin.distribution import _expand
+from bosonbin.fock import CapacityError, _colex_steps
 from bosonbin.linalg import (
     NAIVE_MAX_DIM,
     RYSER_MAX_DIM,
@@ -17,7 +18,6 @@ from bosonbin.linalg import (
     identity_unitary,
     permanent_naive,
     permanent_ryser,
-    permanent_ryser_direct,
     perturb_unitary,
     submatrix,
     unitarity_deviation,
@@ -69,10 +69,18 @@ def test_permanent_of_permutation_matrix():
     assert permanent_ryser(p) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("n", [4, 7, 10])
-def test_ryser_direct_agrees(n, random_complex):
-    m = random_complex(n)
-    assert permanent_ryser_direct(m) == pytest.approx(permanent_ryser(m), rel=1e-11)
+@pytest.mark.parametrize("fermion", [False, True])
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (7, 4)])
+def test_expand_gives_every_minor(n, k, fermion, random_complex):
+    # one call gives Per (det with fermion) of g[rows, cols] for all k-subsets
+    g = random_complex(n)
+    steps = _colex_steps(n, k, distinct=True)
+    subsets = steps[-1].modes
+    table = _expand(g, subsets, steps, fermion=fermion)
+    oracle = determinant if fermion else permanent_ryser
+    for i, rows in enumerate(subsets):
+        for j, cols in enumerate(subsets):
+            assert table[i, j] == pytest.approx(oracle(g[np.ix_(rows, cols)]), rel=1e-11, abs=1e-12)
 
 
 def test_permanent_dimension_guards(random_complex):

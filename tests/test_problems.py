@@ -5,7 +5,7 @@ import pytest
 
 from bosonbin import rng as rng_policy
 from bosonbin.binning import make_partition
-from bosonbin.fock import enumerate_configurations, is_collision_free
+from bosonbin.fock import FockSpace, enumerate_configurations, is_collision_free
 from bosonbin.linalg import haar_unitary_from_seed
 from bosonbin.problems import (
     FUNCTIONS,
@@ -92,18 +92,24 @@ def test_indexed_outcome_dereferences_bins():
     # seed j=1 labels bin 1; entry i=5 inside that bin
     expected = int(space.codes[part.offsets[1] + 5])
     assert solve_function(inst, images) == expected
-    assert solve_function(inst, images, space) == expected
-    with pytest.raises(ValueError, match="space does not match"):
-        solve_function(inst, images, enumerate_configurations(14, 3))
+    for label, width in enumerate(part.widths):
+        for i in (0, width - 1):
+            inst = make_instance(f_id="indexed_outcome", y=(i, 0))
+            images = ImageVector(labels=(label,) + (0,) * 4, diagnostics=(None,) * 5)
+            assert solve_function(inst, images) == space.codes[part.offsets[label] + i]
 
 
-def test_indexed_outcome_does_not_build_codes():
+def test_indexed_outcome_does_not_build_codes(monkeypatch):
     inst = make_instance(f_id="indexed_outcome", y=(5, 1))
     images = ImageVector(labels=(0, 1, 1, 2, 1), diagnostics=(None,) * 5)
     space = enumerate_configurations(15, 3)
-    answer = solve_function(inst, images, space)
-    assert "codes" not in space.__dict__
-    assert answer == space.codes[make_partition(space.size, 4).offsets[1] + 5]
+    expected = space.codes[make_partition(space.size, 4).offsets[1] + 5]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("indexed_outcome enumerated the space")
+
+    monkeypatch.setattr(FockSpace, "__init__", refuse)
+    assert solve_function(inst, images) == expected
 
 
 def test_indexed_outcome_range_checks():
@@ -314,3 +320,13 @@ def test_collision_probability_is_seed_deterministic():
     b = collision_probability(6, 3, 4, ("boson", "distinguishable"), 3, rng_policy.generator(66))
     assert a.fractions == b.fractions
     assert 0.0 <= a.mean <= 1.0
+
+
+@pytest.mark.parametrize("seeds", [(), (SEEDS_15_3[0], (1,) * 4 + (0,) * 11)])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_evaluate_images_needs_seeds_of_one_photon_count(seeds, mode):
+    plan = chernoff_sample_size(4, 0.1, 0.0, 0.05, 0.0)
+    with pytest.raises(ValueError, match="one photon count"):
+        evaluate_images(
+            make_instance().resolve_unitary(), seeds, 4, mode=mode, plan=plan, rng=rng_policy.generator(1)
+        )
