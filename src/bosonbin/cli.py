@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .binning import exact_bin_masses, make_partition, mpb_from_vector
+from .binning import make_partition
 from .distribution import full_distribution
 from .experiments import ExperimentConfig, EXPERIMENTS, run_experiment
 from .fock import CapacityError, DEFAULT_ENUMERATION_LIMIT, parse_configuration
@@ -83,7 +83,7 @@ def cmd_mpb(args: argparse.Namespace) -> int:
         "mode": args.mode,
     }
     if args.mode == "exact":
-        result = mpb_from_vector(exact_bin_masses(unitary, seed, args.bins, limit=args.limit))
+        result = evaluate_images(unitary, [seed], args.bins, limit=args.limit).diagnostics[0]
     else:
         if args.rng_seed is None:
             raise ValueError("sampled mode needs --rng-seed")

@@ -14,7 +14,16 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .binning import BinPartition, MPBResult, exact_bin_masses, make_partition, mpb_from_vector
+from .binning import (
+    BinPartition,
+    MPBResult,
+    bin_probabilities,
+    exact_bin_masses,
+    kernel_is_cheaper,
+    make_partition,
+    most_probable_bin,
+    mpb_from_vector,
+)
 from .distribution import ParticleStatistics, full_distribution
 from .experiments import _mpb_scan, _sample_std, _thread_map
 from .fock import (
@@ -223,32 +232,39 @@ def evaluate_images(
     """MPB label of every seed's output distribution.
 
     mode "exact" reads labels off `exact_bin_masses`, without enumerating
-    the space; "sampled" enumerates it once at `limit` and draws plan.n_min
-    runs per seed (child generators split by seed index, so the result is
-    independent of thread scheduling).
+    the space, unless `kernel_is_cheaper`: then, as in mode "sampled", the
+    space is enumerated once at `limit` and every seed runs the kernel over
+    it. "sampled" draws plan.n_min runs per seed (child generators split by
+    seed index, so the result is independent of thread scheduling).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     photons = {sum(int(v) for v in seed) for seed in seeds}
     if len(photons) != 1:
         raise ValueError(f"seeds must share one photon count, got {sorted(photons) or 'no seeds'}")
+    modes, photon_count = _as_matrix(unitary).shape[0], photons.pop()
     stats = ParticleStatistics.from_string(statistics)
     if mode == "sampled":
         if plan is None or rng is None:
             raise ValueError("sampled mode needs a SamplePlan and a generator")
         if plan.num_bins != num_bins:
             raise ValueError(f"plan covers {plan.num_bins} bins, requested {num_bins}")
-        space = enumerate_configurations(_as_matrix(unitary).shape[0], photons.pop(), limit=limit)
-        partition = make_partition(space.size, num_bins)
         children = rng.spawn(len(seeds))
+    kernel = mode == "sampled" or kernel_is_cheaper(modes, photon_count, num_bins, stats, limit)
+    if kernel:
+        space = enumerate_configurations(modes, photon_count, limit=limit)
+        partition = make_partition(space.size, num_bins)
     results: list[MPBResult | None] = [None] * len(seeds)
 
     def work(i: int) -> None:
-        if mode == "exact":
+        if not kernel:
             masses = exact_bin_masses(unitary, seeds[i], num_bins, statistics=stats, limit=limit)
             results[i] = mpb_from_vector(masses)
+            return
+        dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
+        if mode == "exact":
+            results[i] = most_probable_bin(bin_probabilities(dist, partition))
         else:
-            dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
             results[i], _ = estimate_mpb(dist, partition, plan, children[i])
 
     _thread_map(work, len(seeds), threads)

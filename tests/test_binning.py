@@ -8,6 +8,7 @@ from bosonbin.binning import (
     bin_of,
     bin_probabilities,
     exact_bin_masses,
+    kernel_is_cheaper,
     make_partition,
     most_probable_bin,
     mpb_from_vector,
@@ -20,7 +21,7 @@ from bosonbin.distribution import (
     transition_probability,
 )
 from bosonbin.fock import enumerate_configurations, is_collision_free, space_size
-from bosonbin.linalg import haar_unitary_from_seed
+from bosonbin.linalg import haar_unitary_from_seed, identity_unitary
 
 
 @pytest.mark.parametrize(
@@ -204,3 +205,29 @@ def test_exact_bin_masses_match_the_kernel(case):
         if num_bins == space.size:  # one outcome per bin
             direct = [transition_probability(matrix, seed, r, stats) for r in space.configurations]
             assert np.allclose(masses, direct, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("stats", list(ParticleStatistics))
+def test_exact_bin_masses_check_normalization(stats):
+    matrix = identity_unitary(4).matrix.copy()
+    matrix[3, 3] = 1.5  # not unitary: only seeds with a photon in mode 3 lose normalization
+    assert np.isclose(exact_bin_masses(matrix, (1, 1, 0, 0), 3, stats).sum(), 1.0)
+    with pytest.raises(RuntimeError, match=r"failed to normalize.*0, 1, 0, 1"):
+        exact_bin_masses(matrix, (0, 1, 0, 1), 3, stats)
+
+
+@pytest.mark.parametrize(
+    "modes,photons,bins,limit,kernel",
+    [
+        (60, 4, 4, 2_000_000, False),  # 595,665 outcomes against 13 small classes
+        (20, 6, 16, 2_000_000, False),
+        (8, 3, 4, 2_000_000, True),  # 120 outcomes
+        (8, 3, 4, 100, False),  # the space is above the limit
+        (4, 12, 4, 2_000_000, True),  # 455 outcomes against Gram tables of 853,776 entries
+        (3, 18, 2, 2_000_000, True),
+        (100, 6, 4, 2_000_000, False),
+        (60, 4, 2000, 2_000_000, True),  # 2,000 classes cost more than the space
+    ],
+)
+def test_kernel_is_cheaper_reads_the_shape(modes, photons, bins, limit, kernel):
+    assert kernel_is_cheaper(modes, photons, bins, limit=limit) is kernel

@@ -11,7 +11,8 @@ import pytest
 
 import bosonbin
 from bosonbin.cli import build_parser, main
-from bosonbin.binning import make_partition
+from bosonbin.binning import bin_probabilities, make_partition, most_probable_bin
+from bosonbin.distribution import full_distribution
 from bosonbin.fock import (
     DEFAULT_ENUMERATION_LIMIT,
     FockSpace,
@@ -190,13 +191,23 @@ def test_problem_enumerates_its_space_once_at_the_given_limit(tmp_path, capsys, 
     monkeypatch.setattr(FockSpace, "__init__", counting_init)
     seeds = ((1, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 1))
     path = write_instance(tmp_path, modes=8, seeds=seeds, y=(0, 1), f_id="indexed_outcome")
+    # 120 outcomes: the kernel over the enumerated space is cheaper than the classes
     code, out, _ = run_cli(capsys, "problem", path, "--solve", "--limit", "5000")
     assert code == 0
-    # exact labels and indexed_outcome's dereference both work without the space
+    assert calls == [(8, 3, 5000)] and len(spaces) == 1
+    kernel = stdout_json(out)
+    assert kernel["answer"] in enumerate_configurations(8, 3).codes
+    calls.clear()
+    spaces.clear()
+    # below the space size the same solve takes the class route: exact labels
+    # and indexed_outcome's dereference both work without the space
+    code, out, _ = run_cli(capsys, "problem", path, "--solve", "--limit", "100")
+    assert code == 0
     assert calls == [] and spaces == []
-    answer = stdout_json(out)["answer"]
-    assert answer in enumerate_configurations(8, 3).codes
-    spaces.clear()  # the line above built one
+    classes = stdout_json(out)
+    assert (classes["labels"], classes["answer"]) == (kernel["labels"], kernel["answer"])
+    for by_kernel, by_classes in zip(kernel["diagnostics"], classes["diagnostics"]):
+        assert by_classes["p0"] == pytest.approx(by_kernel["p0"], rel=1e-12)
     path = write_instance(tmp_path, modes=8, seeds=seeds, y=(3,), kind="decision", f_id="sum_greater")
     code, _, _ = run_cli(
         capsys, "problem", path, "--decide", "--mode", "sampled", "--rng-seed", "3", "--limit", "5000"
@@ -223,6 +234,19 @@ def test_exact_problem_and_mpb_run_above_the_enumeration_limit(tmp_path, capsys)
     mpb = stdout_json(out)
     assert (mpb["modes"], mpb["photons"], mpb["bins"]) == (100, 6, 3)
     assert mpb["p0"] >= mpb["p1"] and 0 <= mpb["label"] < 3
+
+
+@pytest.mark.parametrize("config,bins", [("6,6,6", 2), ("3,3,3,3", 4), ("1,2,3,4", 3)])
+def test_exact_mpb_with_many_photons_on_few_modes(capsys, config, bins):
+    # (3, 18) and (4, 12): a few hundred outcomes, but Gram tables of up to
+    # 2.4e9 entries, so the kernel over the enumerated space gives the label
+    code, out, err = run_cli(capsys, "mpb", "--seed-config", config, "--haar-seed", "1", "--bins", str(bins))
+    assert code == 0, err
+    seed = tuple(int(v) for v in config.split(","))
+    dist = full_distribution(haar_unitary_from_seed(len(seed), 1), seed)
+    expected = most_probable_bin(bin_probabilities(dist, make_partition(dist.space.size, bins)))
+    payload = stdout_json(out)
+    assert (payload["label"], payload["p0"], payload["p1"]) == (expected.label, expected.p0, expected.p1)
 
 
 @pytest.mark.parametrize(
