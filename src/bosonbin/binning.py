@@ -13,7 +13,6 @@ counts; `kernel_is_cheaper` picks one from the shape of the problem.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
@@ -67,22 +66,12 @@ def make_partition(space_size: int, num_bins: int) -> BinPartition:
     )
 
 
-def bin_of(partition: BinPartition, index: int) -> int:
-    """Bin label of a space index."""
-    if not 0 <= index < partition.space_size:
-        raise IndexError(f"index {index} out of range for size {partition.space_size}")
-    return bisect_right(partition.offsets, index) - 1
-
-
 @dataclass(eq=False)
 class BinnedDistribution:
-    """Per-bin probabilities plus where they came from."""
+    """Per-bin probabilities of one distribution under a partition."""
 
     partition: BinPartition
     probabilities: np.ndarray
-    seed: tuple[int, ...] | None = None
-    unitary_tag: str | None = None
-    statistics: str | None = None
 
 
 def bin_probabilities(dist: BSDistribution, partition: BinPartition) -> BinnedDistribution:
@@ -92,13 +81,7 @@ def bin_probabilities(dist: BSDistribution, partition: BinPartition) -> BinnedDi
         )
     starts = np.asarray(partition.offsets[:-1], dtype=np.intp)
     probs = np.add.reduceat(dist.probabilities, starts)
-    return BinnedDistribution(
-        partition=partition,
-        probabilities=probs,
-        seed=dist.seed,
-        unitary_tag=dist.unitary_tag,
-        statistics=dist.statistics.value,
-    )
+    return BinnedDistribution(partition=partition, probabilities=probs)
 
 
 def exact_bin_masses(
@@ -283,10 +266,5 @@ def mpb_from_vector(probabilities: np.ndarray, tie_epsilon: float = 0.0) -> MPBR
     return MPBResult(label=label, p0=p0, p1=p1, gap=gap, tie_flag=gap <= tie_epsilon)
 
 
-def most_probable_bin(binned: BinnedDistribution, tie_epsilon: float = 0.0) -> MPBResult:
-    return mpb_from_vector(binned.probabilities, tie_epsilon=tie_epsilon)
-
-
-def top_gap(binned: BinnedDistribution) -> float:
-    """Margin p0 - p1 between the two heaviest bins."""
-    return most_probable_bin(binned).gap
+def most_probable_bin(binned: BinnedDistribution) -> MPBResult:
+    return mpb_from_vector(binned.probabilities)

@@ -236,9 +236,3 @@ def transition_probability(
         return 0.0
     sub = submatrix(matrix, seed, outcome)
     return abs(determinant(sub)) ** 2
-
-
-def max_outcome(dist: BSDistribution) -> tuple[tuple[int, ...], float]:
-    """Most probable single outcome; ties resolve to the smallest code."""
-    idx = int(np.argmax(dist.probabilities))
-    return dist.space.configuration(idx), float(dist.probabilities[idx])

@@ -163,9 +163,6 @@ class FockSpace:
     def __repr__(self) -> str:
         return f"FockSpace(modes={self.modes}, photons={self.photons}, size={self.size})"
 
-    def __len__(self) -> int:
-        return self.size
-
     def configuration(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} out of range for size {self.size}")
@@ -176,11 +173,6 @@ class FockSpace:
         occ = np.zeros((self.size, self.modes), dtype=np.uint8)
         np.add.at(occ, (np.arange(self.size)[:, None], self.mode_combos), 1)
         return occ
-
-    @cached_property
-    def configurations(self) -> list[tuple[int, ...]]:
-        """All configurations as tuples; materialized on first access."""
-        return [tuple(int(v) for v in row) for row in self.occupations]
 
     def index_of(self, configuration: Sequence[int]) -> int:
         t = validate_configuration(configuration, self.modes, self.photons)
@@ -294,33 +286,3 @@ def enumerate_configurations(
 ) -> FockSpace:
     """Enumerate the configuration space, refusing sizes above `limit`."""
     return FockSpace(modes, photons, limit=limit)
-
-
-@dataclass(frozen=True)
-class SeedDraw:
-    """A uniformly drawn input configuration plus where it came from."""
-
-    configuration: tuple[int, ...]
-    index: int
-    provenance: str
-
-
-def random_seed(
-    space: FockSpace, rng: np.random.Generator, collision_free_only: bool = False
-) -> SeedDraw:
-    """Draw a configuration uniformly from the space (or its collision-free part)."""
-    if collision_free_only:
-        pool = space.collision_free_indices
-        if len(pool) == 0:
-            raise ValueError(
-                f"no collision-free configurations with {space.modes} modes "
-                f"and {space.photons} photons"
-            )
-        index = int(pool[int(rng.integers(len(pool)))])
-    else:
-        index = int(rng.integers(space.size))
-    return SeedDraw(
-        configuration=space.configuration(index),
-        index=index,
-        provenance=type(rng.bit_generator).__name__.lower(),
-    )

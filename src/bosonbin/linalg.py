@@ -99,28 +99,6 @@ def identity_unitary(modes: int) -> UnitaryMatrix:
     return UnitaryMatrix(np.eye(modes, dtype=np.complex128), tag="identity")
 
 
-def perturb_unitary(
-    unitary: UnitaryMatrix, magnitude: float, rng: np.random.Generator
-) -> UnitaryMatrix:
-    """Multiply by exp(i * magnitude * H) with a random unit-norm Hermitian H.
-
-    The operator-norm distance to the input is at most `magnitude`; used to
-    exercise nonzero systematic-error budgets in sampling tests.
-    """
-    import scipy.linalg
-
-    if magnitude < 0:
-        raise ValueError("magnitude must be nonnegative")
-    m = unitary.modes
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    h = (a + a.conj().T) / 2.0
-    norm = np.linalg.norm(h, 2)
-    if norm > 0:
-        h = h / norm
-    v = unitary.matrix @ scipy.linalg.expm(1j * magnitude * h)
-    return UnitaryMatrix(v, tag=f"{unitary.tag}+eps{magnitude:g}")
-
-
 def permanent_ryser(matrix: Any, max_dim: int = RYSER_MAX_DIM) -> complex:
     """Permanent by Ryser's inclusion-exclusion in Gray-code order.
 

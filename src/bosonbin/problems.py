@@ -4,7 +4,7 @@ An instance fixes an interferometer, n seed configurations and a bin count.
 The image vector x collects the most-probable-bin label of each seed's
 output distribution; the problem then asks for f(x, y) (function kind) or a
 predicate of it (decision kind). Decision predicates are composed from the
-registered functions, so the two kinds can never drift apart.
+built-in functions, so the two kinds can never drift apart.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .binning import (
     mpb_from_vector,
 )
 from .distribution import ParticleStatistics, full_distribution
-from .experiments import _mpb_scan, _sample_std, _thread_map
+from .experiments import _thread_map
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     FockSpace,
@@ -40,7 +40,6 @@ from .fock import (
 from .linalg import (
     UnitaryMatrix,
     _as_matrix,
-    haar_unitary,
     haar_unitary_from_seed,
     unitary_from_json,
     unitary_to_json,
@@ -69,37 +68,12 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class PredicateSpec:
-    """A decision predicate: apply a registered function, then compare."""
+    """A decision predicate: apply a built-in function, then compare."""
 
     name: str
     function_id: str
     compare: Callable[[int, tuple[int, ...]], bool]
     min_y: int = 0
-
-
-FUNCTIONS: dict[str, FunctionSpec] = {}
-PREDICATES: dict[str, PredicateSpec] = {}
-
-
-def register_function(
-    name: str,
-    fn: Callable[[tuple[int, ...], tuple[int, ...], "ProblemContext | None"], int],
-    min_y: int = 0,
-    needs_context: bool = False,
-) -> None:
-    if name in FUNCTIONS:
-        raise ValueError(f"function id {name!r} already registered")
-    FUNCTIONS[name] = FunctionSpec(name=name, fn=fn, min_y=min_y, needs_context=needs_context)
-
-
-def register_predicate(
-    name: str, function_id: str, compare: Callable[[int, tuple[int, ...]], bool], min_y: int = 0
-) -> None:
-    if name in PREDICATES:
-        raise ValueError(f"predicate id {name!r} already registered")
-    if function_id not in FUNCTIONS:
-        raise ValueError(f"predicate {name!r} references unknown function {function_id!r}")
-    PREDICATES[name] = PredicateSpec(name=name, function_id=function_id, compare=compare, min_y=min_y)
 
 
 def _f_max(x, y, ctx):
@@ -134,18 +108,22 @@ def _f_indexed_outcome(x, y, ctx):
     return integer_code(unrank(ctx.modes, ctx.photons, ctx.partition.offsets[label] + i))
 
 
-register_function("max", _f_max)
-register_function("min", _f_min)
-register_function("sum", _f_sum)
-register_function("parity", _f_parity)
-register_function("gcd", _f_gcd, min_y=1)
-register_function("indexed_outcome", _f_indexed_outcome, min_y=2, needs_context=True)
+FUNCTIONS: dict[str, FunctionSpec] = {
+    "max": FunctionSpec("max", _f_max),
+    "min": FunctionSpec("min", _f_min),
+    "sum": FunctionSpec("sum", _f_sum),
+    "parity": FunctionSpec("parity", _f_parity),
+    "gcd": FunctionSpec("gcd", _f_gcd, min_y=1),
+    "indexed_outcome": FunctionSpec("indexed_outcome", _f_indexed_outcome, min_y=2, needs_context=True),
+}
 
-register_predicate("max_equals", "max", lambda v, y: v == y[0], min_y=1)
-register_predicate("min_equals", "min", lambda v, y: v == y[0], min_y=1)
-register_predicate("sum_greater", "sum", lambda v, y: v > y[0], min_y=1)
-register_predicate("sum_even", "parity", lambda v, y: v == 0, min_y=0)
-register_predicate("gcd_equals", "gcd", lambda v, y: v == y[1], min_y=2)
+PREDICATES: dict[str, PredicateSpec] = {
+    "max_equals": PredicateSpec("max_equals", "max", lambda v, y: v == y[0], min_y=1),
+    "min_equals": PredicateSpec("min_equals", "min", lambda v, y: v == y[0], min_y=1),
+    "sum_greater": PredicateSpec("sum_greater", "sum", lambda v, y: v > y[0], min_y=1),
+    "sum_even": PredicateSpec("sum_even", "parity", lambda v, y: v == 0, min_y=0),
+    "gcd_equals": PredicateSpec("gcd_equals", "gcd", lambda v, y: v == y[1], min_y=2),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,60 +298,6 @@ def draw_problem_seeds(
         raise ValueError(f"cannot draw {count} distinct seeds from {len(pool)} candidates")
     picks = rng.choice(len(pool), size=count, replace=False)
     return tuple(space.configuration(int(pool[i])) for i in picks)
-
-
-@dataclass(frozen=True)
-class CollisionResult:
-    """Label agreement between two particle types, per unitary."""
-
-    mean: float
-    std: float
-    fractions: tuple[float, ...]
-    seed_count: int
-
-
-def collision_probability(
-    modes: int,
-    photons: int,
-    num_bins: int,
-    statistics_pair: Sequence["str | ParticleStatistics"],
-    unitary_count: int,
-    rng: np.random.Generator,
-    collision_free_seeds: bool = True,
-    space: FockSpace | None = None,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> CollisionResult:
-    """Fraction of seeds whose MPB label agrees between two particle types.
-
-    For each Haar unitary, every seed's output distribution is computed under
-    both statistics and binned identically; the per-unitary fraction of
-    matching labels is averaged over `unitary_count` draws.
-    """
-    pair = tuple(ParticleStatistics.from_string(s) for s in statistics_pair)
-    if len(pair) != 2 or pair[0] is not ParticleStatistics.BOSON:
-        raise ValueError("statistics_pair must be (boson, other)")
-    if ParticleStatistics.FERMION in pair and not collision_free_seeds:
-        raise ValueError("fermion comparisons need collision-free seeds")
-    if unitary_count < 1:
-        raise ValueError("unitary_count must be >= 1")
-    if space is None:
-        space = enumerate_configurations(modes, photons, limit=limit)
-    if (space.modes, space.photons) != (modes, photons):
-        raise ValueError("space does not match the requested modes/photons")
-    if ParticleStatistics.FERMION in pair and modes < photons:
-        raise ValueError("fermion comparisons need modes >= photons")
-    seed_idx = space.collision_free_indices if collision_free_seeds else np.arange(space.size)
-    if len(seed_idx) == 0:
-        raise ValueError("no collision-free seeds available")
-    fractions = []
-    for _ in range(unitary_count):
-        matrix = haar_unitary(modes, rng).matrix
-        labels = {s: _mpb_scan(matrix, space, (num_bins,), seed_idx, s)[num_bins][0] for s in set(pair)}
-        fractions.append(float((labels[pair[0]] == labels[pair[1]]).mean()))
-    arr = np.asarray(fractions)
-    return CollisionResult(
-        mean=float(arr.mean()), std=_sample_std(arr), fractions=tuple(fractions), seed_count=len(seed_idx)
-    )
 
 
 def instance_to_json(instance: ProblemInstance) -> dict:

@@ -178,11 +178,3 @@ def estimate_mpb(
     emp = empirical_binned(counts, partition)
     result = mpb_from_vector(emp.frequencies, tie_epsilon=plan.epsilon - plan.delta)
     return result, emp
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())

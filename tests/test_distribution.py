@@ -11,7 +11,6 @@ from bosonbin.distribution import (
     _batch_probabilities,
     amplitude,
     full_distribution,
-    max_outcome,
     transition_probability,
 )
 from bosonbin.fock import enumerate_configurations, is_collision_free
@@ -154,16 +153,6 @@ def test_space_mode_mismatch_rejected():
         full_distribution(u, (1, 1, 0, 0, 0), space=space)
 
 
-def test_max_outcome_returns_argmax():
-    u = haar_unitary_from_seed(6, 17)
-    dist = full_distribution(u, (1, 1, 0, 0, 0, 0))
-    cfg, p = max_outcome(dist)
-    idx = int(np.argmax(dist.probabilities))
-    assert cfg == dist.space.configuration(idx)
-    assert p == float(dist.probabilities[idx])
-    assert p == max(float(v) for v in dist.probabilities)
-
-
 def test_to_csv_round_trippable(tmp_path):
     u = haar_unitary_from_seed(4, 3)
     dist = full_distribution(u, (1, 1, 0, 0))
@@ -195,9 +184,9 @@ def test_pinned_haar_11_3_snapshot():
     assert float(dist.probabilities[0]) == pytest.approx(0.023698896120147393, rel=1e-12)
     assert float(dist.probabilities[100]) == pytest.approx(0.0006111188132284646, rel=1e-12)
     assert float(dist.probabilities[-1]) == pytest.approx(0.0007863184049231391, rel=1e-12)
-    cfg, p = max_outcome(dist)
-    assert cfg == (0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0)
-    assert p == pytest.approx(0.0306108528191241, rel=1e-12)
+    top = int(np.argmax(dist.probabilities))
+    assert dist.space.configuration(top) == (0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0)
+    assert float(dist.probabilities[top]) == pytest.approx(0.0306108528191241, rel=1e-12)
 
 
 @st.composite
@@ -247,7 +236,7 @@ def test_kernel_matches_per_outcome_oracles(case):
     fermion = probs.get(ParticleStatistics.FERMION)
     s_fact = math.prod(math.factorial(v) for v in seed)
     q = np.abs(matrix) ** 2
-    for i, outcome in enumerate(space.configurations):
+    for i, outcome in enumerate(tuple(map(int, r)) for r in space.occupations):
         norm = s_fact * math.prod(math.factorial(v) for v in outcome)
         sub = submatrix(matrix, seed, outcome)
         assert boson[i] == pytest.approx(abs(permanent_ryser(sub)) ** 2 / norm, abs=1e-12)

@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonbin import rng as rng_policy
-from bosonbin.binning import bin_of, make_partition
+from bosonbin.binning import make_partition
 from bosonbin.experiments import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
@@ -17,7 +16,6 @@ from bosonbin.experiments import (
 )
 from bosonbin.fock import enumerate_configurations
 from bosonbin.io import write_json
-from bosonbin.problems import collision_probability
 
 GOLDEN = Path(__file__).parent / "data" / "scan_fingerprints.json"
 SCAN_EXPERIMENTS = sorted(set(EXPERIMENTS) - {"ryser_benchmark"})
@@ -144,6 +142,7 @@ def test_ryser_benchmark_quick_is_smaller():
         ("gap_fraction", dict(epsilon_list=(0.0,)), r"epsilon_list must lie in \(0, 1\)"),
         ("gap_fraction", dict(epsilon_list=(1.0,)), r"epsilon_list must lie in \(0, 1\)"),
         ("gap_fraction", dict(epsilon_list=(float("nan"),)), r"epsilon_list must lie in \(0, 1\)"),
+        ("collision", dict(pairs=("BB",)), "unknown statistics pair"),
     ],
 )
 def test_out_of_range_settings_are_refused(experiment, overrides, match):
@@ -174,7 +173,7 @@ def test_mpb_scan_identity_unitary_reads_off_partition():
     scans = _mpb_scan(matrix, space, (2, 5))
     for d, (labels, p0, p1) in scans.items():
         part = make_partition(space.size, d)
-        expected = np.array([bin_of(part, i) for i in range(space.size)])
+        expected = np.repeat(np.arange(d), part.widths)
         assert np.array_equal(labels, expected)
         assert np.allclose(p0, 1.0)
         assert np.allclose(p1, 0.0)
@@ -253,6 +252,11 @@ def test_collision_schema():
     assert row["size_full"] == space.size
     assert row["size_cf"] == len(space.collision_free_indices)
     assert row["seed_count"] == row["size_cf"]
+    # one photon: every particle type has the |U|^2 column distribution, so every label agrees
+    single = run_experiment(tiny_config("collision", cells=((5, 1),), pairs=("BD", "BF"), bin_list=(2, 3, 5)))
+    assert [(r["pair"], r["bins"], r["p_col_mean"]) for r in rows_of(single, "collision")] == [
+        (pair, bins, 1.0) for pair in ("BD", "BF") for bins in (2, 3, 5)
+    ]
 
 
 def test_maxprob_scaling_schema():
@@ -406,18 +410,6 @@ def test_ryser_benchmark_grid_matches_recorded_fingerprint():
     assert fp["summary"] == {"repeats": 1, "reference_flops": 1e9}
     grid = [c for c in fp["cells"] if c["table"] == "grid"]
     assert_matches_golden(json.loads(json.dumps(grid)), RYSER_QUICK_GRID, "ryser_benchmark")
-
-
-@pytest.mark.parametrize("pair,other", [("BD", "distinguishable"), ("BF", "fermion")])
-def test_collision_probability_agrees_with_collision_experiment(pair, other):
-    config = tiny_config("collision", pairs=(pair,), unitary_count=1)
-    [row] = rows_of(run_experiment(config), "collision")
-    # child 0 of the master seed is the generator the experiment's only unitary draws from
-    result = collision_probability(
-        6, 2, 2, ("boson", other), 1, rng=rng_policy.split(config.master_seed, 1)[0]
-    )
-    assert result.mean == row["p_col_mean"]
-    assert result.seed_count == row["seed_count"]
 
 
 @pytest.mark.parametrize("experiment", SCAN_EXPERIMENTS)

@@ -18,7 +18,6 @@ from bosonbin.linalg import (
     identity_unitary,
     permanent_naive,
     permanent_ryser,
-    perturb_unitary,
     submatrix,
     unitarity_deviation,
     unitary_from_json,
@@ -138,17 +137,6 @@ def test_identity_unitary():
 def test_unitary_matrix_rejects_nonunitary():
     with pytest.raises(ValueError):
         UnitaryMatrix(np.ones((3, 3)))
-
-
-def test_perturb_unitary(rng):
-    u = haar_unitary(8, rng)
-    v = perturb_unitary(u, 1e-3, rng)
-    assert unitarity_deviation(v.matrix) <= UNITARITY_TOL
-    assert "+eps" in v.tag
-    delta = np.linalg.norm(v.matrix - u.matrix, 2)
-    assert 0 < delta < 5e-3
-    w = perturb_unitary(u, 0.0, rng)
-    assert np.allclose(w.matrix, u.matrix)
 
 
 def test_submatrix_repeats_rows_and_columns(rng):

@@ -10,10 +10,8 @@ from bosonbin.linalg import haar_unitary_from_seed
 from bosonbin.problems import (
     FUNCTIONS,
     PREDICATES,
-    CollisionResult,
     ImageVector,
     ProblemInstance,
-    collision_probability,
     decide,
     draw_problem_seeds,
     evaluate_images,
@@ -82,6 +80,13 @@ def test_predicates_compose_registered_functions(p_id, x, y, expected):
     pred = PREDICATES[p_id]
     value = FUNCTIONS[pred.function_id].fn(x, y, None)
     assert pred.compare(value, y) is expected
+
+
+def test_builtin_ids_name_their_specs():
+    assert list(FUNCTIONS) == ["max", "min", "sum", "parity", "gcd", "indexed_outcome"]
+    assert list(PREDICATES) == ["max_equals", "min_equals", "sum_greater", "sum_even", "gcd_equals"]
+    assert all(spec.name == name for name, spec in {**FUNCTIONS, **PREDICATES}.items())
+    assert all(pred.function_id in FUNCTIONS for pred in PREDICATES.values())
 
 
 def test_indexed_outcome_dereferences_bins():
@@ -272,54 +277,6 @@ def test_draw_problem_seeds_distinct_and_seeded():
         draw_problem_seeds(space, 0, rng_policy.generator(1))
     with pytest.raises(ValueError):
         draw_problem_seeds(space, space.size + 1, rng_policy.generator(1))
-
-
-def test_collision_probability_self_pair_is_one():
-    res = collision_probability(6, 3, 4, ("boson", "boson"), 3, rng_policy.generator(8))
-    assert res.mean == 1.0
-    assert res.std == 0.0
-    assert res.fractions == (1.0, 1.0, 1.0)
-    assert isinstance(res, CollisionResult)
-
-
-def test_collision_probability_single_photon_statistics_coincide():
-    # one photon: every particle type produces the same |column|^2 distribution
-    for other in ("fermion", "distinguishable"):
-        res = collision_probability(5, 1, 2, ("boson", other), 2, rng_policy.generator(2))
-        assert res.mean == 1.0
-
-
-def test_collision_probability_seed_count_matches_pool():
-    space = enumerate_configurations(6, 3)
-    res = collision_probability(6, 3, 4, ("boson", "distinguishable"), 1, rng_policy.generator(1))
-    assert res.seed_count == len(space.collision_free_indices)
-    full = collision_probability(
-        6, 3, 4, ("boson", "distinguishable"), 1, rng_policy.generator(1),
-        collision_free_seeds=False,
-    )
-    assert full.seed_count == space.size
-
-
-def test_collision_probability_validation():
-    gen = rng_policy.generator(1)
-    with pytest.raises(ValueError, match="boson"):
-        collision_probability(6, 3, 4, ("fermion", "boson"), 1, gen)
-    with pytest.raises(ValueError, match="collision-free"):
-        collision_probability(6, 3, 4, ("boson", "fermion"), 1, gen, collision_free_seeds=False)
-    with pytest.raises(ValueError, match="unitary_count"):
-        collision_probability(6, 3, 4, ("boson", "distinguishable"), 0, gen)
-    with pytest.raises(ValueError, match="modes"):
-        collision_probability(3, 4, 4, ("boson", "fermion"), 1, gen)
-    space = enumerate_configurations(7, 3)
-    with pytest.raises(ValueError, match="space"):
-        collision_probability(6, 3, 4, ("boson", "distinguishable"), 1, gen, space=space)
-
-
-def test_collision_probability_is_seed_deterministic():
-    a = collision_probability(6, 3, 4, ("boson", "distinguishable"), 3, rng_policy.generator(66))
-    b = collision_probability(6, 3, 4, ("boson", "distinguishable"), 3, rng_policy.generator(66))
-    assert a.fractions == b.fractions
-    assert 0.0 <= a.mean <= 1.0
 
 
 @pytest.mark.parametrize("seeds", [(), (SEEDS_15_3[0], (1,) * 4 + (0,) * 11)])
