@@ -53,8 +53,52 @@ class ParticleStatistics(Enum):
             raise ValueError(f"unknown particle statistics {text!r}") from None
 
 
+class ScanWorkspace:
+    """Buffers for blocked scans over one space and statistics, allocated
+    once and reused by every block of up to SCAN_BLOCK seeds, so a scan does
+    not allocate (and page-fault) the kernel's arrays anew for each block.
+
+    Each buffer is flat; a block of b seeds uses a C-contiguous (rows, b)
+    view of its start, laid out as a freshly allocated array would be.
+    Arrays computed into it are overwritten by the next block. A workspace
+    belongs to one scan on one thread.
+    """
+
+    def __init__(self, space: FockSpace, statistics: ParticleStatistics):
+        block = SCAN_BLOCK
+        fermion = statistics is ParticleStatistics.FERMION
+        steps = space.fermion_steps if fermion else space.expansion_steps
+        dtype = np.float64 if statistics is ParticleStatistics.DISTINGUISHABLE else np.complex128
+        rows = [len(step.modes) for step in steps]
+        # degree k's coefficients and a zero row (see _expand)
+        self.coefs = [np.empty((r + 1) * block, dtype=dtype) for r in rows]
+        # the widest degree is not always the last one over sets of distinct modes
+        widest = max(rows) * block
+        self.gathers = (np.empty(widest, dtype=dtype), np.empty(widest, dtype=dtype))
+        self._size = space.size
+        self._probs = np.zeros(space.size * block)
+        self._probs_width = block
+
+    def probs(self, width: int) -> np.ndarray:
+        """(size, width) view of the probability buffer. Entries a block does
+        not write read 0: the buffer is zeroed whenever the width changes."""
+        if width != self._probs_width:
+            self._probs.fill(0.0)
+            self._probs_width = width
+        return _view(self._probs, self._size, width)
+
+
+def _view(buffer: np.ndarray | None, rows: int, cols: int) -> np.ndarray | None:
+    """(rows, cols) view of the start of a flat buffer; None (numpy allocates) without one."""
+    return None if buffer is None else buffer[: rows * cols].reshape(rows, cols)
+
+
 def _expand(
-    weights: np.ndarray, columns: np.ndarray, steps: Sequence[ExpansionStep], fermion: bool = False
+    weights: np.ndarray,
+    columns: np.ndarray,
+    steps: Sequence[ExpansionStep],
+    fermion: bool = False,
+    workspace: ScanWorkspace | None = None,
 ) -> np.ndarray:
     """Coefficient of x^r in prod_k (sum_i weights[i, c_k] x_i) for every
     last-degree row r of `steps` and every column list c in `columns`;
@@ -66,23 +110,41 @@ def _expand(
     position p of a degree-k row carries the Laplace sign (-1)^(k-1-p), so
     over rows of distinct modes the coefficient is det(weights[r, c]). Each
     column is computed on its own by elementwise steps in a fixed order, so
-    it does not depend on the rest of the block.
+    it does not depend on the rest of the block, nor on whether the steps
+    run into a `workspace` or into arrays numpy allocates.
     """
+    if len(steps[0].modes) > len(weights):  # the gathers below clip their indices
+        raise ValueError(f"steps over {len(steps[0].modes)} modes, weights over {len(weights)}")
     block = len(columns)
-    coef = np.ones((1, block), dtype=weights.dtype)
+    if workspace is None:
+        coefs, a_buf, b_buf = [None] * len(steps), None, None
+    else:
+        coefs, (a_buf, b_buf) = workspace.coefs, workspace.gathers
+    prev = np.zeros((2, block), dtype=weights.dtype)  # degree 0 and its zero row
+    prev[0] = 1
     for k, step in enumerate(steps, start=1):
+        rows = len(step.modes)
         w = weights[:, columns[:, k - 1]]
-        prev = np.concatenate([coef, np.zeros((1, block), dtype=coef.dtype)])
+        # a zero row after every degree but the last: the next degree gathers it for repeated modes
+        shape = (rows + (k < len(steps)), block)
+        coef = np.empty(shape, weights.dtype) if coefs[k - 1] is None else _view(coefs[k - 1], *shape)
+        coef[rows:] = 0
+        acc = coef[:rows]
         for p in range(k):
-            term = w[step.modes[:, p]] * prev[step.predecessors[:, p]]
+            # the tables are checked once per space (fock._check_predecessors), so no bounds check here
+            a = np.take(w, step.modes[:, p], axis=0, out=_view(a_buf, rows, block), mode="clip")
+            b = np.take(prev, step.predecessors[:, p], axis=0, out=_view(b_buf, rows, block), mode="clip")
             negate = fermion and (k - 1 - p) % 2 == 1
             if p == 0:
-                coef = -term if negate else term
-            elif negate:
-                coef -= term
+                np.multiply(a, b, out=acc)
+                if negate:
+                    np.negative(acc, out=acc)
             else:
-                coef += term
-    return coef
+                np.multiply(a, b, out=a)
+                (np.subtract if negate else np.add)(acc, a, out=acc)
+            del a, b  # without a workspace, free both before the next gathers allocate
+        prev = coef
+    return prev
 
 
 def _batch_probabilities(
@@ -90,28 +152,43 @@ def _batch_probabilities(
     seed_indices: np.ndarray,
     space: FockSpace,
     statistics: ParticleStatistics,
+    workspace: ScanWorkspace | None = None,
 ) -> np.ndarray:
     """Probabilities for a block of seeds, one column per seed; (size, block).
+
+    With a `workspace` (made for this space and statistics) every step runs
+    into its buffers and the result is a view of them, valid until the next
+    call with it; without one numpy allocates per step. The bits are the
+    same either way.
 
     Raises RuntimeError if a seed's column misses normalization by more
     than NORMALIZATION_GUARD.
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
     columns = space.mode_combos[seed_indices]
+    block = len(columns)
     matrix = np.asarray(matrix)
+    # float scratch: the gather buffers are free once the expansion is done
+    a_buf, b_buf = (None, None) if workspace is None else (g.view(np.float64) for g in workspace.gathers)
     if statistics is ParticleStatistics.BOSON:
-        coef = _expand(matrix.astype(np.complex128, copy=False), columns, space.expansion_steps)
-        probs = (coef.real**2 + coef.imag**2) * (
-            space.factorial_products[:, None] / space.factorial_products[seed_indices]
-        )
+        weights = matrix.astype(np.complex128, copy=False)
+        coef = _expand(weights, columns, space.expansion_steps, workspace=workspace)
+        probs = np.square(coef.real, out=None if workspace is None else workspace.probs(block))
+        probs += np.square(coef.imag, out=_view(a_buf, space.size, block))
+        fp = space.factorial_products
+        probs *= np.divide(fp[:, None], fp[seed_indices], out=_view(b_buf, space.size, block))
     elif statistics is ParticleStatistics.DISTINGUISHABLE:
-        probs = _expand(np.abs(matrix) ** 2, columns, space.expansion_steps)
+        probs = _expand(np.abs(matrix) ** 2, columns, space.expansion_steps, workspace=workspace)
     else:
         if (columns[:, 1:] == columns[:, :-1]).any():
             raise ValueError("fermion seeds must be collision-free")
-        coef = _expand(matrix.astype(np.complex128, copy=False), columns, space.fermion_steps, fermion=True)
-        probs = np.zeros((space.size, len(columns)))
-        probs[space.collision_free_indices] = coef.real**2 + coef.imag**2
+        weights = matrix.astype(np.complex128, copy=False)
+        coef = _expand(weights, columns, space.fermion_steps, fermion=True, workspace=workspace)
+        cf = len(coef)
+        mass = np.square(coef.real, out=_view(a_buf, cf, block))
+        mass += np.square(coef.imag, out=_view(b_buf, cf, block))
+        probs = np.zeros((space.size, block)) if workspace is None else workspace.probs(block)
+        probs[space.collision_free_indices] = mass
     totals = probs.sum(axis=0)
     bad = np.flatnonzero(~(np.abs(totals - 1.0) <= NORMALIZATION_GUARD))
     if len(bad):

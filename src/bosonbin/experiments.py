@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rng_policy
 from .binning import make_partition
-from .distribution import SCAN_BLOCK, ParticleStatistics, _batch_probabilities
+from .distribution import SCAN_BLOCK, ParticleStatistics, ScanWorkspace, _batch_probabilities
 from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations
 from .io import atomic_write_text, write_json
 from .linalg import haar_unitary, permanent_ryser, submatrix
@@ -286,10 +286,11 @@ def _mpb_scan(
     out = {
         d: (np.empty(count, dtype=np.int64), np.empty(count), np.empty(count)) for d in bin_list
     }
+    workspace = ScanWorkspace(space, statistics)
     for lo in range(0, count, SCAN_BLOCK):
         block = seed_indices[lo : lo + SCAN_BLOCK]
         b = len(block)
-        probs = _batch_probabilities(matrix, block, space, statistics)
+        probs = _batch_probabilities(matrix, block, space, statistics, workspace)
         for d in bin_list:
             binned = np.add.reduceat(probs, starts[d], axis=0)
             labels = np.argmax(binned, axis=0)
@@ -642,9 +643,10 @@ def run_maxprob_scaling(config: ExperimentConfig) -> ExperimentReport:
         else:
             picks = np.arange(space.size)
         maxima = np.empty(len(picks))
+        workspace = ScanWorkspace(space, ParticleStatistics.BOSON)
         for lo in range(0, len(picks), SCAN_BLOCK):
             block = picks[lo : lo + SCAN_BLOCK]
-            probs = _batch_probabilities(matrix, block, space, ParticleStatistics.BOSON)
+            probs = _batch_probabilities(matrix, block, space, ParticleStatistics.BOSON, workspace)
             maxima[lo : lo + len(block)] = probs.max(axis=0)
         return maxima
 

@@ -263,6 +263,7 @@ def _colex_steps(modes: int, photons: int, distinct: bool) -> tuple[ExpansionSte
             np.copyto(pred[:, 1:], len(prev), where=rows[:, 1:] == rows[:, :-1])
         steps.append(ExpansionStep(rows, pred))
     _check_colex(rows, modes, distinct)
+    _check_predecessors(steps)
     return tuple(steps)
 
 
@@ -279,6 +280,18 @@ def _check_colex(rows: np.ndarray, modes: int, distinct: bool) -> None:
     in_range = size == 0 or (rows[:, 0].min() >= 0 and rows[:, -1].max() < modes)
     if not (size == expected and in_range and sorted_rows and after.all()):
         raise RuntimeError("colex tables do not list every sorted row once, in colex order")
+
+
+def _check_predecessors(steps: Sequence[ExpansionStep]) -> None:
+    """Raise unless every degree-k predecessor is a degree-(k - 1) row or the
+    zero row one past them. The kernel gathers with clipped indices, which
+    would read a wrong row instead of failing."""
+    prev_rows = 1  # degree 0 is the empty row
+    for step in steps:
+        pred = step.predecessors
+        if pred.size and not (pred.min() >= 0 and pred.max() <= prev_rows):
+            raise RuntimeError(f"degree-{pred.shape[1]} predecessors outside rows 0..{prev_rows}")
+        prev_rows = len(step.modes)
 
 
 def enumerate_configurations(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bosonbin.distribution import (
     BSDistribution,
     ParticleStatistics,
+    ScanWorkspace,
     _batch_probabilities,
     amplitude,
     full_distribution,
@@ -270,6 +272,42 @@ def test_kernel_columns_do_not_depend_on_the_block(statistics):
     for j, index in enumerate(seeds[:11]):
         alone = full_distribution(u, space.configuration(int(index)), statistics, space=space)
         assert np.array_equal(block[:, j], alone.probabilities)
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_workspace_blocks_match_single_seed_distributions(statistics):
+    # (8,5): 56 collision-free seeds, and over sets the widest degree (4, 70
+    # rows) is not the last (5, 56 rows), which sizes the gather buffers
+    u = haar_unitary_from_seed(8, 21)
+    space = enumerate_configurations(8, 5)
+    fermion = statistics is ParticleStatistics.FERMION
+    seeds = space.collision_free_indices if fermion else np.arange(0, space.size, 13)
+    workspace = ScanWorkspace(space, statistics)
+    # full, partial, then full blocks again: one workspace across width changes
+    for block in (seeds[:16], seeds[16:21], seeds[21:37], seeds[37:53]):
+        probs = _batch_probabilities(u.matrix, block, space, statistics, workspace)
+        for j, index in enumerate(block):
+            alone = full_distribution(u, space.configuration(int(index)), statistics, space=space)
+            assert np.array_equal(probs[:, j], alone.probabilities)
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_single_seed_kernel_peak_memory(statistics):
+    # without a workspace every step allocates; each degree's gathers are
+    # freed before the next ones, so at most four (size,) complex arrays
+    # (64 bytes per outcome) are alive at once
+    space = enumerate_configurations(30, 4)
+    u = haar_unitary_from_seed(30, 3)
+    seeds = [space.configuration(int(i)) for i in space.collision_free_indices[:2]]
+    full_distribution(u, seeds[0], statistics, space=space)  # builds the space's cached tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        full_distribution(u, seeds[1], statistics, space=space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 64 * space.size
 
 
 def test_kernel_checks_normalization_of_every_seed():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bosonbin.binning import make_partition
+from bosonbin.distribution import ParticleStatistics, full_distribution
 from bosonbin.experiments import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
@@ -16,6 +17,7 @@ from bosonbin.experiments import (
 )
 from bosonbin.fock import enumerate_configurations
 from bosonbin.io import write_json
+from bosonbin.linalg import haar_unitary_from_seed
 
 GOLDEN = Path(__file__).parent / "data" / "scan_fingerprints.json"
 SCAN_EXPERIMENTS = sorted(set(EXPERIMENTS) - {"ryser_benchmark"})
@@ -177,6 +179,39 @@ def test_mpb_scan_identity_unitary_reads_off_partition():
         assert np.array_equal(labels, expected)
         assert np.allclose(p0, 1.0)
         assert np.allclose(p1, 0.0)
+
+
+def _single_seed_scan(unitary, space, bin_list, seed_indices, statistics):
+    """_mpb_scan's (labels, p0, p1) from one full_distribution per seed, each
+    reduced as a one-column block."""
+    out = {d: ([], [], []) for d in bin_list}
+    for index in seed_indices:
+        seed = space.configuration(int(index))
+        probs = full_distribution(unitary, seed, statistics, space=space).probabilities[:, None]
+        for d in bin_list:
+            starts = np.asarray(make_partition(space.size, d).offsets[:-1], dtype=np.intp)
+            binned = np.add.reduceat(probs, starts, axis=0)[:, 0]
+            label = int(np.argmax(binned))
+            for column, value in zip(out[d], (label, binned[label], np.partition(binned, -2)[-2])):
+                column.append(value)
+    return {d: tuple(np.asarray(c) for c in cols) for d, cols in out.items()}
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_mpb_scan_matches_single_seed_reductions(statistics):
+    # (8,5): 56 collision-free seeds (a partial last block of 8), and over
+    # sets the widest degree is not the last; two scans run in a row
+    u = haar_unitary_from_seed(8, 4)
+    space = enumerate_configurations(8, 5)
+    fermion = statistics is ParticleStatistics.FERMION
+    seeds = space.collision_free_indices if fermion else np.arange(0, space.size, 15)
+    bins = (2, 3, 7)
+    for picked in (seeds, seeds[3:]):
+        scan = _mpb_scan(u.matrix, space, bins, picked, statistics)
+        expected = _single_seed_scan(u, space, bins, picked, statistics)
+        for d in bins:
+            for got, want in zip(scan[d], expected[d]):
+                assert np.array_equal(got, want)
 
 
 def test_mpb_seed_scan_schema():

@@ -8,8 +8,10 @@ from bosonbin import rng as rng_policy
 from bosonbin.distribution import full_distribution
 from bosonbin.fock import (
     CapacityError,
+    ExpansionStep,
     FockSpace,
     _check_colex,
+    _check_predecessors,
     collision_free_count,
     enumerate_configurations,
     format_configuration,
@@ -227,6 +229,20 @@ def test_colex_check_refuses_a_corrupted_table(corrupt, distinct):
     _check_colex(rows, 7, distinct)
     with pytest.raises(RuntimeError, match="colex"):
         _check_colex(corrupt(rows.copy()), 7, distinct)
+
+
+@pytest.mark.parametrize("past_zero_row", [False, True])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_predecessor_check_refuses_rows_outside_the_degree_below(past_zero_row, distinct):
+    # the kernel gathers predecessors with clipped indices, so this check is what catches them
+    space = enumerate_configurations(7, 3)
+    steps = list(space.fermion_steps if distinct else space.expansion_steps)
+    _check_predecessors(steps)
+    pred = steps[2].predecessors.copy()
+    pred[4, 1] = len(steps[1].modes) + 1 if past_zero_row else -1
+    steps[2] = ExpansionStep(steps[2].modes, pred)
+    with pytest.raises(RuntimeError, match="predecessors outside"):
+        _check_predecessors(steps)
 
 
 def test_occupations_array(space_4_2):

@@ -82,6 +82,13 @@ def test_expand_gives_every_minor(n, k, fermion, random_complex):
             assert table[i, j] == pytest.approx(oracle(g[np.ix_(rows, cols)]), rel=1e-11, abs=1e-12)
 
 
+def test_expand_refuses_tables_over_more_modes_than_the_weights(random_complex):
+    # the kernel's gathers clip their indices, so a missing row must be refused up front
+    steps = _colex_steps(5, 2, distinct=False)
+    with pytest.raises(ValueError, match="5 modes, weights over 4"):
+        _expand(random_complex(4), steps[-1].modes[:3], steps)
+
+
 def test_permanent_dimension_guards(random_complex):
     with pytest.raises(CapacityError):
         permanent_ryser(random_complex(RYSER_MAX_DIM + 1))
