@@ -54,43 +54,31 @@ class ParticleStatistics(Enum):
 
 
 class ScanWorkspace:
-    """Buffers for blocked scans over one space and statistics, allocated
-    once and reused by every block of up to SCAN_BLOCK seeds, so a scan does
-    not allocate (and page-fault) the kernel's arrays anew for each block.
+    """The kernel's buffers for one space and statistics, `width` seeds wide.
 
-    Each buffer is flat; a block of b seeds uses a C-contiguous (rows, b)
-    view of its start, laid out as a freshly allocated array would be.
-    Arrays computed into it are overwritten by the next block. A workspace
-    belongs to one scan on one thread.
+    Every block of a scan runs into the same one, on one thread, so the
+    kernel's arrays are allocated (and page-faulted) once; a call given none
+    makes its own. A block of b seeds uses C-contiguous (rows, b) views.
     """
 
-    def __init__(self, space: FockSpace, statistics: ParticleStatistics):
-        block = SCAN_BLOCK
-        fermion = statistics is ParticleStatistics.FERMION
-        steps = space.fermion_steps if fermion else space.expansion_steps
+    def __init__(self, space: FockSpace, statistics: ParticleStatistics, width: int = SCAN_BLOCK):
+        steps = space.fermion_steps if statistics is ParticleStatistics.FERMION else space.expansion_steps
         dtype = np.float64 if statistics is ParticleStatistics.DISTINGUISHABLE else np.complex128
-        rows = [len(step.modes) for step in steps]
-        # degree k's coefficients and a zero row (see _expand)
-        self.coefs = [np.empty((r + 1) * block, dtype=dtype) for r in rows]
-        # the widest degree is not always the last one over sets of distinct modes
-        widest = max(rows) * block
-        self.gathers = (np.empty(widest, dtype=dtype), np.empty(widest, dtype=dtype))
-        self._size = space.size
-        self._probs = np.zeros(space.size * block)
-        self._probs_width = block
-
-    def probs(self, width: int) -> np.ndarray:
-        """(size, width) view of the probability buffer. Entries a block does
-        not write read 0: the buffer is zeroed whenever the width changes."""
-        if width != self._probs_width:
-            self._probs.fill(0.0)
-            self._probs_width = width
-        return _view(self._probs, self._size, width)
+        self.coefs, self.gathers = _expansion_buffers(steps, width, dtype)
+        self.probs = np.empty(space.size * width)
 
 
-def _view(buffer: np.ndarray | None, rows: int, cols: int) -> np.ndarray | None:
-    """(rows, cols) view of the start of a flat buffer; None (numpy allocates) without one."""
-    return None if buffer is None else buffer[: rows * cols].reshape(rows, cols)
+def _expansion_buffers(steps: Sequence[ExpansionStep], width: int, dtype: np.dtype) -> tuple:
+    """`_expand`'s flat buffers: each degree's coefficients and zero row, and two gathers."""
+    rows = [len(step.modes) for step in steps]
+    widest = max(rows) * width  # over sets of distinct modes the widest degree is not always the last
+    gathers = (np.empty(widest, dtype), np.empty(widest, dtype))
+    return [np.empty((r + 1) * width, dtype) for r in rows], gathers
+
+
+def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) view of the start of a flat buffer."""
+    return buffer[: rows * cols].reshape(rows, cols)
 
 
 def _expand(
@@ -108,16 +96,17 @@ def _expand(
     each row, weights[m, c_{k-1}] times the coefficient of the row without
     m. With `fermion` the placements anticommute: the photon at sorted
     position p of a degree-k row carries the Laplace sign (-1)^(k-1-p), so
-    over rows of distinct modes the coefficient is det(weights[r, c]). Each
-    column is computed on its own by elementwise steps in a fixed order, so
-    it does not depend on the rest of the block, nor on whether the steps
-    run into a `workspace` or into arrays numpy allocates.
+    over rows of distinct modes the coefficient is det(weights[r, c]). The
+    steps run into `workspace`'s buffers, or ones sized for this call, and
+    the result is a view of them. Each column is computed on its own by
+    elementwise steps in a fixed order, so it depends on neither the rest of
+    the block nor the buffers.
     """
     if len(steps[0].modes) > len(weights):  # the gathers below clip their indices
         raise ValueError(f"steps over {len(steps[0].modes)} modes, weights over {len(weights)}")
     block = len(columns)
     if workspace is None:
-        coefs, a_buf, b_buf = [None] * len(steps), None, None
+        coefs, (a_buf, b_buf) = _expansion_buffers(steps, block, weights.dtype)
     else:
         coefs, (a_buf, b_buf) = workspace.coefs, workspace.gathers
     prev = np.zeros((2, block), dtype=weights.dtype)  # degree 0 and its zero row
@@ -126,14 +115,14 @@ def _expand(
         rows = len(step.modes)
         w = weights[:, columns[:, k - 1]]
         # a zero row after every degree but the last: the next degree gathers it for repeated modes
-        shape = (rows + (k < len(steps)), block)
-        coef = np.empty(shape, weights.dtype) if coefs[k - 1] is None else _view(coefs[k - 1], *shape)
+        coef = _view(coefs[k - 1], rows + (k < len(steps)), block)
         coef[rows:] = 0
         acc = coef[:rows]
+        a, b = _view(a_buf, rows, block), _view(b_buf, rows, block)
         for p in range(k):
             # the tables are checked once per space (fock._check_predecessors), so no bounds check here
-            a = np.take(w, step.modes[:, p], axis=0, out=_view(a_buf, rows, block), mode="clip")
-            b = np.take(prev, step.predecessors[:, p], axis=0, out=_view(b_buf, rows, block), mode="clip")
+            np.take(w, step.modes[:, p], axis=0, out=a, mode="clip")
+            np.take(prev, step.predecessors[:, p], axis=0, out=b, mode="clip")
             negate = fermion and (k - 1 - p) % 2 == 1
             if p == 0:
                 np.multiply(a, b, out=acc)
@@ -142,7 +131,6 @@ def _expand(
             else:
                 np.multiply(a, b, out=a)
                 (np.subtract if negate else np.add)(acc, a, out=acc)
-            del a, b  # without a workspace, free both before the next gathers allocate
         prev = coef
     return prev
 
@@ -156,10 +144,9 @@ def _batch_probabilities(
 ) -> np.ndarray:
     """Probabilities for a block of seeds, one column per seed; (size, block).
 
-    With a `workspace` (made for this space and statistics) every step runs
-    into its buffers and the result is a view of them, valid until the next
-    call with it; without one numpy allocates per step. The bits are the
-    same either way.
+    Every step runs into `workspace` (made for this space and statistics, at
+    least a block wide) or one sized for this block. The result is a view of
+    it, valid until its next call; its bits do not depend on the workspace.
 
     Raises RuntimeError if a seed's column misses normalization by more
     than NORMALIZATION_GUARD.
@@ -168,14 +155,18 @@ def _batch_probabilities(
     columns = space.mode_combos[seed_indices]
     block = len(columns)
     matrix = np.asarray(matrix)
+    if statistics is ParticleStatistics.BOSON:
+        fp = space.factorial_products  # cached; built before the buffers, its temporaries add no peak
+    if workspace is None:
+        workspace = ScanWorkspace(space, statistics, block)
+    probs = _view(workspace.probs, space.size, block)
     # float scratch: the gather buffers are free once the expansion is done
-    a_buf, b_buf = (None, None) if workspace is None else (g.view(np.float64) for g in workspace.gathers)
+    a_buf, b_buf = (g.view(np.float64) for g in workspace.gathers)
     if statistics is ParticleStatistics.BOSON:
         weights = matrix.astype(np.complex128, copy=False)
         coef = _expand(weights, columns, space.expansion_steps, workspace=workspace)
-        probs = np.square(coef.real, out=None if workspace is None else workspace.probs(block))
+        np.square(coef.real, out=probs)
         probs += np.square(coef.imag, out=_view(a_buf, space.size, block))
-        fp = space.factorial_products
         probs *= np.divide(fp[:, None], fp[seed_indices], out=_view(b_buf, space.size, block))
     elif statistics is ParticleStatistics.DISTINGUISHABLE:
         probs = _expand(np.abs(matrix) ** 2, columns, space.expansion_steps, workspace=workspace)
@@ -187,7 +178,7 @@ def _batch_probabilities(
         cf = len(coef)
         mass = np.square(coef.real, out=_view(a_buf, cf, block))
         mass += np.square(coef.imag, out=_view(b_buf, cf, block))
-        probs = np.zeros((space.size, block)) if workspace is None else workspace.probs(block)
+        probs.fill(0.0)
         probs[space.collision_free_indices] = mass
     totals = probs.sum(axis=0)
     bad = np.flatnonzero(~(np.abs(totals - 1.0) <= NORMALIZATION_GUARD))

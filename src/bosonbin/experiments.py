@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -268,6 +268,17 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _scan_blocks(
+    matrix: np.ndarray, space: FockSpace, seed_indices: np.ndarray, statistics: ParticleStatistics
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, probs) per block of up to SCAN_BLOCK seeds from seed_indices[lo]. Every
+    block runs into one workspace, so its probs are valid until the next block."""
+    workspace = ScanWorkspace(space, statistics, min(SCAN_BLOCK, len(seed_indices)))
+    for lo in range(0, len(seed_indices), SCAN_BLOCK):
+        block = seed_indices[lo : lo + SCAN_BLOCK]
+        yield lo, _batch_probabilities(matrix, block, space, statistics, workspace)
+
+
 def _mpb_scan(
     matrix: np.ndarray,
     space: FockSpace,
@@ -286,11 +297,8 @@ def _mpb_scan(
     out = {
         d: (np.empty(count, dtype=np.int64), np.empty(count), np.empty(count)) for d in bin_list
     }
-    workspace = ScanWorkspace(space, statistics)
-    for lo in range(0, count, SCAN_BLOCK):
-        block = seed_indices[lo : lo + SCAN_BLOCK]
-        b = len(block)
-        probs = _batch_probabilities(matrix, block, space, statistics, workspace)
+    for lo, probs in _scan_blocks(matrix, space, seed_indices, statistics):
+        b = probs.shape[1]
         for d in bin_list:
             binned = np.add.reduceat(probs, starts[d], axis=0)
             labels = np.argmax(binned, axis=0)
@@ -643,11 +651,8 @@ def run_maxprob_scaling(config: ExperimentConfig) -> ExperimentReport:
         else:
             picks = np.arange(space.size)
         maxima = np.empty(len(picks))
-        workspace = ScanWorkspace(space, ParticleStatistics.BOSON)
-        for lo in range(0, len(picks), SCAN_BLOCK):
-            block = picks[lo : lo + SCAN_BLOCK]
-            probs = _batch_probabilities(matrix, block, space, ParticleStatistics.BOSON, workspace)
-            maxima[lo : lo + len(block)] = probs.max(axis=0)
+        for lo, probs in _scan_blocks(matrix, space, picks, ParticleStatistics.BOSON):
+            maxima[lo : lo + probs.shape[1]] = probs.max(axis=0)
         return maxima
 
     def reduce(results):

@@ -223,6 +223,9 @@ class ExpansionStep:
             sorted position p removed. Where position p repeats the mode of
             position p - 1 it is size_{k-1}, one past the last row, where
             the kernel keeps a row of zeros; so each distinct mode counts once.
+
+    Both tables are column-major, so the kernel gathers with contiguous
+    index columns: `np.take` copies a strided one on every call.
     """
 
     modes: np.ndarray
@@ -249,7 +252,7 @@ def _colex_steps(modes: int, photons: int, distinct: bool) -> tuple[ExpansionSte
         counts = below[:-1] if distinct else below[1:]
         starts = list(accumulate(counts, initial=0))
         prev, prev_raw = rows, raw
-        rows = np.empty((starts[-1], k), dtype=np.intp)
+        rows = np.empty((starts[-1], k), dtype=np.intp, order="F")
         raw = np.empty_like(rows)
         for m, count in enumerate(counts):
             block = slice(starts[m], starts[m + 1])
@@ -259,7 +262,7 @@ def _colex_steps(modes: int, photons: int, distinct: bool) -> tuple[ExpansionSte
             raw[block, -1] = np.arange(count)
         pred = raw
         if not distinct:  # a position that repeats the one before it takes the zero row
-            pred = raw.copy()
+            pred = raw.copy(order="F")
             np.copyto(pred[:, 1:], len(prev), where=rows[:, 1:] == rows[:, :-1])
         steps.append(ExpansionStep(rows, pred))
     _check_colex(rows, modes, distinct)

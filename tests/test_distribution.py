@@ -269,9 +269,16 @@ def test_kernel_columns_do_not_depend_on_the_block(statistics):
     space = enumerate_configurations(7, 3)
     seeds = space.collision_free_indices if statistics is ParticleStatistics.FERMION else np.arange(space.size)
     block = _batch_probabilities(u.matrix, seeds[:11], space, statistics)
-    for j, index in enumerate(seeds[:11]):
-        alone = full_distribution(u, space.configuration(int(index)), statistics, space=space)
-        assert np.array_equal(block[:, j], alone.probabilities)
+    again = _batch_probabilities(u.matrix, seeds[:11], space, statistics)
+    alone = [
+        full_distribution(u, space.configuration(int(index)), statistics, space=space).probabilities
+        for index in seeds[:11]
+    ]
+    # compared after every call: each call without a workspace has buffers of its own
+    assert np.array_equal(block, again) and not np.shares_memory(block, again)
+    for j, probs in enumerate(alone):
+        assert np.array_equal(block[:, j], probs)
+        assert not any(np.shares_memory(probs, other) for other in alone[j + 1 :])
 
 
 @pytest.mark.parametrize("statistics", list(ParticleStatistics))
@@ -293,9 +300,10 @@ def test_workspace_blocks_match_single_seed_distributions(statistics):
 
 @pytest.mark.parametrize("statistics", list(ParticleStatistics))
 def test_single_seed_kernel_peak_memory(statistics):
-    # without a workspace every step allocates; each degree's gathers are
-    # freed before the next ones, so at most four (size,) complex arrays
-    # (64 bytes per outcome) are alive at once
+    # a call without a workspace makes one sized for its one seed: every
+    # degree's coefficients, two gathers and the probabilities, which stay
+    # under four (size,) complex arrays (64 bytes per outcome) as long as the
+    # gathers copy no index column and no cached table is built beside them
     space = enumerate_configurations(30, 4)
     u = haar_unitary_from_seed(30, 3)
     seeds = [space.configuration(int(i)) for i in space.collision_free_indices[:2]]

@@ -166,6 +166,17 @@ def test_step_tables(modes, photons, distinct):
         prev = step.modes
 
 
+@pytest.mark.parametrize("modes,photons", [(8, 5), (18, 4), (3, 6)])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_step_table_columns_are_contiguous(modes, photons, distinct):
+    # the kernel gathers with one column at a time; np.take copies a strided index array
+    space = enumerate_configurations(modes, photons)
+    for step in space.fermion_steps if distinct else space.expansion_steps:
+        for p in range(step.modes.shape[1]):
+            assert step.modes[:, p].flags.c_contiguous
+            assert step.predecessors[:, p].flags.c_contiguous
+
+
 def _colex_rank(row, distinct):
     """Colex rank of one sorted row, from the combinatorial number system."""
     return sum(math.comb(int(a) + (0 if distinct else j), j + 1) for j, a in enumerate(row))
