@@ -4,11 +4,13 @@ Bins partition the code-ordered space into d contiguous index ranges whose
 widths differ by at most one: with q = size mod d, the first q bins get
 floor(size / d) + 1 entries and the rest floor(size / d).
 
-Bin masses come by two routes, each the other's oracle: the kernel's full
-distributions summed per bin (`bin_probabilities`), and `exact_bin_masses`,
-which sums classes of outcomes without enumerating the space. The kernel's
-work grows with the space size, the class route's with the photon and bin
-counts; `kernel_is_cheaper` picks one from the shape of the problem.
+Bin masses come by two routes, each the other's oracle: per-outcome values
+summed per bin (`bin_masses`, over the kernel's distributions or over drawn
+outcome counts), and `exact_bin_masses`, which sums classes of outcomes
+without enumerating the space. The kernel's work grows with the space size,
+the class route's with the photon and bin counts; `kernel_is_cheaper` picks
+one from the shape of the problem. Every route reads its label off its
+masses by one rule, `top_two`: the heaviest bin, the smallest label on ties.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .distribution import NORMALIZATION_GUARD, BSDistribution, ParticleStatistics, _expand
+from .distribution import NORMALIZATION_GUARD, ParticleStatistics, _expand
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     CapacityError,
@@ -66,22 +68,19 @@ def make_partition(space_size: int, num_bins: int) -> BinPartition:
     )
 
 
-@dataclass(eq=False)
-class BinnedDistribution:
-    """Per-bin probabilities of one distribution under a partition."""
+def bin_masses(values: np.ndarray, partition: BinPartition) -> np.ndarray:
+    """Per-bin sums of per-outcome values (probabilities or draw counts), of
+    one vector or of each column of a (size, seeds) block. Each bin is summed
+    in outcome order, so a column gets the same bits alone as in a block."""
+    if len(values) != partition.space_size:
+        raise ValueError(f"partition covers {partition.space_size} outcomes, values have {len(values)}")
+    return np.add.reduceat(values, np.asarray(partition.offsets[:-1], dtype=np.intp), axis=0)
 
-    partition: BinPartition
-    probabilities: np.ndarray
 
-
-def bin_probabilities(dist: BSDistribution, partition: BinPartition) -> BinnedDistribution:
-    if partition.space_size != dist.space.size:
-        raise ValueError(
-            f"partition covers {partition.space_size} outcomes, space has {dist.space.size}"
-        )
-    starts = np.asarray(partition.offsets[:-1], dtype=np.intp)
-    probs = np.add.reduceat(dist.probabilities, starts)
-    return BinnedDistribution(partition=partition, probabilities=probs)
+def top_two(binned: np.ndarray) -> tuple:
+    """Label (smallest on ties), top mass and runner-up mass of each column of
+    per-bin masses; scalars for one vector."""
+    return np.argmax(binned, axis=0), binned.max(axis=0), np.partition(binned, -2, axis=0)[-2]
 
 
 def exact_bin_masses(
@@ -259,12 +258,7 @@ def mpb_from_vector(probabilities: np.ndarray, tie_epsilon: float = 0.0) -> MPBR
     v = np.asarray(probabilities, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 2:
         raise ValueError("need a 1-d vector with at least 2 bins")
-    label = int(np.argmax(v))
-    p0 = float(v[label])
-    p1 = float(np.partition(v, -2)[-2])
+    label, top, runner_up = top_two(v)
+    p0, p1 = float(top), float(runner_up)
     gap = p0 - p1
-    return MPBResult(label=label, p0=p0, p1=p1, gap=gap, tie_flag=gap <= tie_epsilon)
-
-
-def most_probable_bin(binned: BinnedDistribution) -> MPBResult:
-    return mpb_from_vector(binned.probabilities)
+    return MPBResult(label=int(label), p0=p0, p1=p1, gap=gap, tie_flag=gap <= tie_epsilon)

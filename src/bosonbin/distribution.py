@@ -62,10 +62,12 @@ class ScanWorkspace:
     """
 
     def __init__(self, space: FockSpace, statistics: ParticleStatistics, width: int = SCAN_BLOCK):
+        distinguishable = statistics is ParticleStatistics.DISTINGUISHABLE
         steps = space.fermion_steps if statistics is ParticleStatistics.FERMION else space.expansion_steps
-        dtype = np.float64 if statistics is ParticleStatistics.DISTINGUISHABLE else np.complex128
+        dtype = np.float64 if distinguishable else np.complex128
         self.coefs, self.gathers = _expansion_buffers(steps, width, dtype)
-        self.probs = np.empty(space.size * width)
+        # distinguishable particles' probabilities are their last coefficients
+        self.probs = None if distinguishable else np.empty(space.size * width)
 
 
 def _expansion_buffers(steps: Sequence[ExpansionStep], width: int, dtype: np.dtype) -> tuple:
@@ -159,13 +161,12 @@ def _batch_probabilities(
         fp = space.factorial_products  # cached; built before the buffers, its temporaries add no peak
     if workspace is None:
         workspace = ScanWorkspace(space, statistics, block)
-    probs = _view(workspace.probs, space.size, block)
     # float scratch: the gather buffers are free once the expansion is done
     a_buf, b_buf = (g.view(np.float64) for g in workspace.gathers)
     if statistics is ParticleStatistics.BOSON:
         weights = matrix.astype(np.complex128, copy=False)
         coef = _expand(weights, columns, space.expansion_steps, workspace=workspace)
-        np.square(coef.real, out=probs)
+        probs = np.square(coef.real, out=_view(workspace.probs, space.size, block))
         probs += np.square(coef.imag, out=_view(a_buf, space.size, block))
         probs *= np.divide(fp[:, None], fp[seed_indices], out=_view(b_buf, space.size, block))
     elif statistics is ParticleStatistics.DISTINGUISHABLE:
@@ -178,6 +179,7 @@ def _batch_probabilities(
         cf = len(coef)
         mass = np.square(coef.real, out=_view(a_buf, cf, block))
         mass += np.square(coef.imag, out=_view(b_buf, cf, block))
+        probs = _view(workspace.probs, space.size, block)
         probs.fill(0.0)
         probs[space.collision_free_indices] = mass
     totals = probs.sum(axis=0)

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from . import rng as rng_policy
-from .binning import make_partition
+from .binning import bin_masses, make_partition, top_two
 from .distribution import SCAN_BLOCK, ParticleStatistics, ScanWorkspace, _batch_probabilities
 from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations
 from .io import atomic_write_text, write_json
@@ -291,22 +291,15 @@ def _mpb_scan(
     if seed_indices is None:
         seed_indices = np.arange(space.size)
     count = len(seed_indices)
-    starts = {
-        d: np.asarray(make_partition(space.size, d).offsets[:-1], dtype=np.intp) for d in bin_list
-    }
+    partitions = {d: make_partition(space.size, d) for d in bin_list}
     out = {
         d: (np.empty(count, dtype=np.int64), np.empty(count), np.empty(count)) for d in bin_list
     }
     for lo, probs in _scan_blocks(matrix, space, seed_indices, statistics):
         b = probs.shape[1]
         for d in bin_list:
-            binned = np.add.reduceat(probs, starts[d], axis=0)
-            labels = np.argmax(binned, axis=0)
-            p0 = binned[labels, np.arange(b)]
-            p1 = np.partition(binned, -2, axis=0)[-2, :]
-            out[d][0][lo : lo + b] = labels
-            out[d][1][lo : lo + b] = p0
-            out[d][2][lo : lo + b] = p1
+            for column, values in zip(out[d], top_two(bin_masses(probs, partitions[d]))):
+                column[lo : lo + b] = values
     return out
 
 

@@ -15,13 +15,11 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .binning import (
-    BinPartition,
     MPBResult,
-    bin_probabilities,
+    bin_masses,
     exact_bin_masses,
     kernel_is_cheaper,
     make_partition,
-    most_probable_bin,
     mpb_from_vector,
 )
 from .distribution import ParticleStatistics, full_distribution
@@ -50,20 +48,10 @@ MAX_SEED_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
-class ProblemContext:
-    """Space shape and partition handed to functions that dereference bins."""
-
-    modes: int
-    photons: int
-    partition: BinPartition
-
-
-@dataclass(frozen=True)
 class FunctionSpec:
     name: str
-    fn: Callable[[tuple[int, ...], tuple[int, ...], "ProblemContext | None"], int]
+    fn: Callable[[tuple[int, ...], tuple[int, ...], "ProblemInstance"], int]
     min_y: int = 0
-    needs_context: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,36 +64,37 @@ class PredicateSpec:
     min_y: int = 0
 
 
-def _f_max(x, y, ctx):
+def _f_max(x, y, instance):
     return max(x)
 
 
-def _f_min(x, y, ctx):
+def _f_min(x, y, instance):
     return min(x)
 
 
-def _f_sum(x, y, ctx):
+def _f_sum(x, y, instance):
     return sum(x)
 
 
-def _f_parity(x, y, ctx):
+def _f_parity(x, y, instance):
     return sum(x) % 2
 
 
-def _f_gcd(x, y, ctx):
+def _f_gcd(x, y, instance):
     return math.gcd(sum(x), y[0])
 
 
-def _f_indexed_outcome(x, y, ctx):
+def _f_indexed_outcome(x, y, instance):
     """Integer code of the i-th configuration inside the bin labeled x[j]; y = (i, j)."""
     i, j = int(y[0]), int(y[1])
     if not 0 <= j < len(x):
         raise ValueError(f"seed selector j={j} out of range for {len(x)} seeds")
     label = x[j]
-    width = ctx.partition.widths[label]
+    partition = make_partition(space_size(instance.modes, instance.photons), instance.num_bins)
+    width = partition.widths[label]
     if not 0 <= i < width:
         raise ValueError(f"offset i={i} out of range for bin {label} of width {width}")
-    return integer_code(unrank(ctx.modes, ctx.photons, ctx.partition.offsets[label] + i))
+    return integer_code(unrank(instance.modes, instance.photons, partition.offsets[label] + i))
 
 
 FUNCTIONS: dict[str, FunctionSpec] = {
@@ -114,7 +103,7 @@ FUNCTIONS: dict[str, FunctionSpec] = {
     "sum": FunctionSpec("sum", _f_sum),
     "parity": FunctionSpec("parity", _f_parity),
     "gcd": FunctionSpec("gcd", _f_gcd, min_y=1),
-    "indexed_outcome": FunctionSpec("indexed_outcome", _f_indexed_outcome, min_y=2, needs_context=True),
+    "indexed_outcome": FunctionSpec("indexed_outcome", _f_indexed_outcome, min_y=2),
 }
 
 PREDICATES: dict[str, PredicateSpec] = {
@@ -241,7 +230,7 @@ def evaluate_images(
             return
         dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
         if mode == "exact":
-            results[i] = most_probable_bin(bin_probabilities(dist, partition))
+            results[i] = mpb_from_vector(bin_masses(dist.probabilities, partition))
         else:
             results[i], _ = estimate_mpb(dist, partition, plan, children[i])
 
@@ -250,19 +239,11 @@ def evaluate_images(
     return ImageVector(labels=tuple(r.label for r in diagnostics), diagnostics=diagnostics)
 
 
-def _context_for(instance: ProblemInstance, spec: FunctionSpec) -> ProblemContext | None:
-    if not spec.needs_context:
-        return None
-    size = space_size(instance.modes, instance.photons)
-    return ProblemContext(instance.modes, instance.photons, make_partition(size, instance.num_bins))
-
-
 def solve_function(instance: ProblemInstance, images: ImageVector) -> int:
     """Function value of the instance at the image vector."""
     if instance.kind != "function":
         raise ValueError(f"instance kind is {instance.kind!r}, expected 'function'")
-    spec = FUNCTIONS[instance.f_id]
-    return int(spec.fn(images.labels, instance.y, _context_for(instance, spec)))
+    return int(FUNCTIONS[instance.f_id].fn(images.labels, instance.y, instance))
 
 
 def decide(instance: ProblemInstance, images: ImageVector) -> bool:
@@ -270,8 +251,7 @@ def decide(instance: ProblemInstance, images: ImageVector) -> bool:
     if instance.kind != "decision":
         raise ValueError(f"instance kind is {instance.kind!r}, expected 'decision'")
     pred = PREDICATES[instance.f_id]
-    spec = FUNCTIONS[pred.function_id]
-    value = spec.fn(images.labels, instance.y, _context_for(instance, spec))
+    value = FUNCTIONS[pred.function_id].fn(images.labels, instance.y, instance)
     return bool(pred.compare(value, instance.y))
 
 

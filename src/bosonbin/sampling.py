@@ -1,4 +1,4 @@
-"""Finite-run estimation: outcome draws, empirical bins, Chernoff planning."""
+"""Finite-run estimation: outcome draws, Chernoff planning and sampled labels."""
 from __future__ import annotations
 
 import math
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinPartition, MPBResult, mpb_from_vector
+from .binning import BinPartition, MPBResult, bin_masses, mpb_from_vector
 from .distribution import BSDistribution
 
 ALIAS_METHOD_THRESHOLD = 1 << 16
@@ -134,47 +134,23 @@ def draw_outcomes(
     return _draw_alias(dist.probabilities, int(runs), rng)
 
 
-@dataclass(eq=False)
-class EmpiricalBinned:
-    """Per-bin counts from a finite number of runs."""
-
-    partition: BinPartition
-    counts: np.ndarray
-    runs: int
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.runs
-
-
-def empirical_binned(outcome_counts: np.ndarray, partition: BinPartition) -> EmpiricalBinned:
-    counts = np.asarray(outcome_counts)
-    if counts.shape != (partition.space_size,):
-        raise ValueError(
-            f"expected counts for {partition.space_size} outcomes, got shape {counts.shape}"
-        )
-    starts = np.asarray(partition.offsets[:-1], dtype=np.intp)
-    binned = np.add.reduceat(counts.astype(np.int64), starts)
-    return EmpiricalBinned(partition=partition, counts=binned, runs=int(counts.sum()))
-
-
 def estimate_mpb(
     dist: BSDistribution,
     partition: BinPartition,
     plan: SamplePlan,
     rng: np.random.Generator,
     method: str = "auto",
-) -> tuple[MPBResult, EmpiricalBinned]:
-    """Estimate the most probable bin from plan.n_min sampled runs.
+) -> tuple[MPBResult, np.ndarray]:
+    """Estimate the most probable bin from plan.n_min sampled runs; returns
+    the result and the per-bin counts of the draws.
 
-    The tie threshold on empirical frequencies is epsilon - delta: anything
-    closer than the resolvable accuracy is flagged as a tie.
+    The label is read off the frequencies counts / plan.n_min. The tie
+    threshold on them is epsilon - delta: anything closer than the
+    resolvable accuracy is flagged as a tie.
     """
     if partition.num_bins != plan.num_bins:
         raise ValueError(
             f"plan covers {plan.num_bins} bins but partition has {partition.num_bins}"
         )
-    counts = draw_outcomes(dist, plan.n_min, rng, method=method)
-    emp = empirical_binned(counts, partition)
-    result = mpb_from_vector(emp.frequencies, tie_epsilon=plan.epsilon - plan.delta)
-    return result, emp
+    counts = bin_masses(draw_outcomes(dist, plan.n_min, rng, method=method), partition)
+    return mpb_from_vector(counts / plan.n_min, tie_epsilon=plan.epsilon - plan.delta), counts

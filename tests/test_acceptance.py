@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bosonbin import rng as rng_policy
-from bosonbin.binning import bin_probabilities, make_partition, most_probable_bin
+from bosonbin.binning import bin_masses, make_partition, mpb_from_vector
 from bosonbin.distribution import full_distribution
 from bosonbin.experiments import ExperimentConfig, report_fingerprint, run_experiment
 from bosonbin.fock import enumerate_configurations
@@ -141,8 +141,8 @@ def test_criterion_03_normalization_grid():
                 ):
                     dist = full_distribution(u, seed, statistics, space=space)
                     worst = max(worst, dist.normalization_error)
-                    binned = bin_probabilities(dist, partition)
-                    worst = max(worst, abs(float(binned.probabilities.sum()) - 1.0))
+                    binned = bin_masses(dist.probabilities, partition)
+                    worst = max(worst, abs(float(binned.sum()) - 1.0))
             cells += 1
     ok = worst < 1e-9
     announce(3, ok, f"{cells} (modes, photons) cells x 20 unitaries, worst |sum-1| {worst:.3e}")
@@ -289,7 +289,7 @@ def test_criterion_09_sample_size_planner():
         u = haar_unitary(11, master)
         seed = space.configuration(int(master.integers(space.size)))
         dist = full_distribution(u, seed, space=space)
-        exact = most_probable_bin(bin_probabilities(dist, partition))
+        exact = mpb_from_vector(bin_masses(dist.probabilities, partition))
         if exact.gap <= reference.epsilon:
             continue
         unambiguous += 1

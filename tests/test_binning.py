@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from bosonbin.binning import (
     BinPartition,
-    bin_probabilities,
+    bin_masses,
     exact_bin_masses,
     kernel_is_cheaper,
     make_partition,
-    most_probable_bin,
     mpb_from_vector,
 )
 from bosonbin.distribution import (
@@ -67,21 +66,38 @@ def test_bin_probabilities_matches_explicit_loop():
     u = haar_unitary_from_seed(8, 44)
     dist = full_distribution(u, (1, 1, 1, 0, 0, 0, 0, 0))
     part = make_partition(dist.space.size, 5)
-    binned = bin_probabilities(dist, part)
-    assert binned.probabilities.shape == (5,)
+    binned = bin_masses(dist.probabilities, part)
+    assert binned.shape == (5,)
     for label in range(5):
         lo, hi = part.offsets[label], part.offsets[label + 1]
-        assert binned.probabilities[label] == pytest.approx(
+        assert binned[label] == pytest.approx(
             float(dist.probabilities[lo:hi].sum()), rel=1e-14
         )
-    assert float(binned.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert float(binned.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bin_probabilities_size_mismatch():
     u = haar_unitary_from_seed(6, 1)
     dist = full_distribution(u, (1, 1, 0, 0, 0, 0))
-    with pytest.raises(ValueError, match="partition covers"):
-        bin_probabilities(dist, make_partition(dist.space.size + 1, 3))
+    block = np.column_stack([dist.probabilities, dist.probabilities])
+    for values in (dist.probabilities, block):
+        with pytest.raises(ValueError, match="partition covers"):
+            bin_masses(values, make_partition(dist.space.size + 1, 3))
+
+
+def test_bin_masses_of_a_block_are_its_columns_alone():
+    # one (size, b) call gives each column the bits of a one-vector call,
+    # for a scan block of probabilities and for draw counts
+    space = enumerate_configurations(18, 4)
+    part = make_partition(space.size, 5)
+    seeds = np.arange(0, space.size, space.size // 16)[:16]
+    probs = _batch_probabilities(haar_unitary_from_seed(18, 2).matrix, seeds, space, ParticleStatistics.BOSON)
+    counts = np.random.default_rng(3).multinomial(10_000, np.full(space.size, 1 / space.size), size=7).T
+    for block in (probs, counts):
+        binned = bin_masses(block, part)
+        assert binned.shape == (5, block.shape[1]) and binned.dtype == block.dtype
+        for c in range(block.shape[1]):
+            assert np.array_equal(binned[:, c], bin_masses(np.ascontiguousarray(block[:, c]), part))
 
 
 def test_mpb_from_vector_basics():
@@ -118,9 +134,9 @@ def test_mpb_from_vector_shape_checks():
 def test_most_probable_bin_reads_the_heaviest_bin():
     u = haar_unitary_from_seed(9, 8)
     dist = full_distribution(u, (1, 1, 1, 0, 0, 0, 0, 0, 0))
-    binned = bin_probabilities(dist, make_partition(dist.space.size, 4))
-    r = most_probable_bin(binned)
-    assert r.label == int(np.argmax(binned.probabilities))
+    binned = bin_masses(dist.probabilities, make_partition(dist.space.size, 4))
+    r = mpb_from_vector(binned)
+    assert r.label == int(np.argmax(binned))
     assert r.p0 >= r.p1
     assert r.gap == r.p0 - r.p1
 
@@ -128,15 +144,15 @@ def test_most_probable_bin_reads_the_heaviest_bin():
 def test_pinned_haar_11_3_binned_snapshot():
     u = haar_unitary_from_seed(11, 11)
     dist = full_distribution(u, (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
-    binned = bin_probabilities(dist, make_partition(dist.space.size, 4))
+    binned = bin_masses(dist.probabilities, make_partition(dist.space.size, 4))
     expected = [
         0.18166021247064024,
         0.2457412632690592,
         0.3355184422708135,
         0.2370800819894875,
     ]
-    assert binned.probabilities == pytest.approx(expected, rel=1e-12)
-    r = most_probable_bin(binned)
+    assert binned == pytest.approx(expected, rel=1e-12)
+    r = mpb_from_vector(binned)
     assert r.label == 2
     assert r.gap == pytest.approx(0.0897771790017543, rel=1e-12)
 

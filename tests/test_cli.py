@@ -11,7 +11,7 @@ import pytest
 
 import bosonbin
 from bosonbin.cli import build_parser, main
-from bosonbin.binning import bin_probabilities, make_partition, most_probable_bin
+from bosonbin.binning import bin_masses, make_partition, mpb_from_vector
 from bosonbin.distribution import full_distribution
 from bosonbin.fock import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -244,7 +244,7 @@ def test_exact_mpb_with_many_photons_on_few_modes(capsys, config, bins):
     assert code == 0, err
     seed = tuple(int(v) for v in config.split(","))
     dist = full_distribution(haar_unitary_from_seed(len(seed), 1), seed)
-    expected = most_probable_bin(bin_probabilities(dist, make_partition(dist.space.size, bins)))
+    expected = mpb_from_vector(bin_masses(dist.probabilities, make_partition(dist.space.size, bins)))
     payload = stdout_json(out)
     assert (payload["label"], payload["p0"], payload["p1"]) == (expected.label, expected.p0, expected.p1)
 

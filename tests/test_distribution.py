@@ -318,6 +318,25 @@ def test_single_seed_kernel_peak_memory(statistics):
     assert peak - base <= 64 * space.size
 
 
+def test_distinguishable_workspace_holds_no_probability_buffer():
+    # distinguishable probabilities are the last coefficient buffer, so no
+    # probability buffer is made: one seed's peak is the coefficients and two
+    # gathers, about three (size,) float arrays, under 28 bytes per outcome
+    space = enumerate_configurations(30, 4)
+    statistics = ParticleStatistics.DISTINGUISHABLE
+    assert ScanWorkspace(space, statistics, 1).probs is None
+    u = haar_unitary_from_seed(30, 3)
+    full_distribution(u, space.configuration(1), statistics, space=space)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        full_distribution(u, space.configuration(2), statistics, space=space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 28 * space.size
+
+
 def test_kernel_checks_normalization_of_every_seed():
     space = enumerate_configurations(4, 2)
     matrix = identity_unitary(4).matrix.copy()

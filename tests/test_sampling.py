@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonbin import rng as rng_policy
-from bosonbin.binning import make_partition
+from bosonbin.binning import bin_masses, make_partition
 from bosonbin.distribution import full_distribution
 from bosonbin.linalg import haar_unitary_from_seed, identity_unitary
 from bosonbin.sampling import (
@@ -17,7 +17,6 @@ from bosonbin.sampling import (
     _alias_tables,
     chernoff_sample_size,
     draw_outcomes,
-    empirical_binned,
     estimate_mpb,
 )
 
@@ -262,29 +261,29 @@ def test_alias_tables_stop_where_either_stack_runs_out(n):
 def test_empirical_binned_aggregates_counts(haar_dist):
     counts = draw_outcomes(haar_dist, 3000, rng_policy.generator(5))
     part = make_partition(haar_dist.space.size, 4)
-    emp = empirical_binned(counts, part)
-    assert emp.runs == 3000
+    binned = bin_masses(counts, part)
+    assert binned.sum() == 3000
     for label in range(4):
         lo, hi = part.offsets[label], part.offsets[label + 1]
-        assert emp.counts[label] == int(counts[lo:hi].sum())
-    assert emp.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
+        assert binned[label] == int(counts[lo:hi].sum())
+    assert (binned / 3000).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empirical_binned_shape_check():
     part = make_partition(10, 2)
-    with pytest.raises(ValueError, match="expected counts"):
-        empirical_binned(np.zeros(11, dtype=np.int64), part)
+    with pytest.raises(ValueError, match="partition covers"):
+        bin_masses(np.zeros(11, dtype=np.int64), part)
 
 
 def test_estimate_mpb_uses_plan_and_is_deterministic(haar_dist):
     part = make_partition(haar_dist.space.size, 4)
     plan = chernoff_sample_size(4, 0.1, 0.0, 0.05, 0.0)
-    r1, emp1 = estimate_mpb(haar_dist, part, plan, rng_policy.generator(42))
-    r2, emp2 = estimate_mpb(haar_dist, part, plan, rng_policy.generator(42))
-    assert emp1.runs == plan.n_min
-    assert np.array_equal(emp1.counts, emp2.counts)
+    r1, counts1 = estimate_mpb(haar_dist, part, plan, rng_policy.generator(42))
+    r2, counts2 = estimate_mpb(haar_dist, part, plan, rng_policy.generator(42))
+    assert counts1.sum() == plan.n_min
+    assert np.array_equal(counts1, counts2)
     assert r1 == r2
-    assert r1.p0 == pytest.approx(float(emp1.frequencies.max()), rel=1e-14)
+    assert r1.p0 == pytest.approx(float((counts1 / plan.n_min).max()), rel=1e-14)
 
 
 def test_estimate_mpb_matches_exact_winner_when_gap_is_wide():
@@ -293,10 +292,10 @@ def test_estimate_mpb_matches_exact_winner_when_gap_is_wide():
     dist = full_distribution(u, (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
     part = make_partition(dist.space.size, 4)
     plan = chernoff_sample_size(4, 0.02, 0.0, 0.05, 0.0)
-    result, emp = estimate_mpb(dist, part, plan, rng_policy.generator(12345))
+    result, counts = estimate_mpb(dist, part, plan, rng_policy.generator(12345))
     assert result.label == 2
     assert not result.tie_flag
-    assert emp.runs == plan.n_min
+    assert counts.sum() == plan.n_min
 
 
 def test_estimate_mpb_tie_threshold_is_resolvable_accuracy(haar_dist):
