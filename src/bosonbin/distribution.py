@@ -202,13 +202,6 @@ class BSDistribution:
     probabilities: np.ndarray
     unitary_tag: str = ""
 
-    @property
-    def normalization_error(self) -> float:
-        return abs(float(self.probabilities.sum()) - 1.0)
-
-    def probability_of(self, outcome: Sequence[int]) -> float:
-        return float(self.probabilities[self.space.index_of(outcome)])
-
     def to_csv(self, path: str) -> None:
         """Write the distribution with enough header context to re-derive it."""
         buf = stringio.StringIO()

@@ -26,7 +26,7 @@ from .linalg import haar_unitary, permanent_ryser, submatrix
 
 REFERENCE_FLOPS = 1e9
 
-# fields that vary run to run (wall-clock measurements and fits of them);
+# fields that vary run to run (timings and fits of them);
 # reproducibility comparisons strip these
 TIMING_FIELDS = frozenset(
     {"started_at", "wall_seconds", "seconds", "seconds_per_permanent", "ratio_to_prev", "fit_a", "fit_b", "fit_c"}
@@ -152,11 +152,6 @@ class ExperimentConfig:
             raise ValueError(f"epsilon_list must lie in (0, 1), got {list(eff['epsilon_list'])}")
         eff.update({k: getattr(self, k) for k in RUN_FIELDS})
         return _plain(eff)
-
-    def to_json(self) -> dict[str, Any]:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
-        payload["schema_version"] = 1
-        return _plain(payload)
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ExperimentConfig":
@@ -682,22 +677,53 @@ def run_maxprob_scaling(config: ExperimentConfig) -> ExperimentReport:
     return _scan_experiment(config, eff["cells"], per_unitary, reduce)
 
 
-def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
-    """Wall-clock scaling of the permanent kernel and of brute-force scans.
+def _fit_cost_model(ns: list[int], seconds: list[float]) -> dict[str, float]:
+    """Least-squares fit of seconds = a n 2^(b n) + c.
 
-    Single permanents: fastest of `repeats` interleaved timing passes per
-    matrix size (one untimed warmup pass first), with a T = a n 2^(b n) + c
-    fit. The kernel is deterministic, so any excess over the fastest run is
-    interference; interleaving the passes keeps one interference burst from
-    biasing every repeat of a single size. The per-added-photon ratio is the
-    median over passes of t(n) / t(n - 1) within one pass, where the two
-    calls run back to back. Passes alternate between ascending and
-    descending n, so a drift in machine speed across a pass raises the
-    ratios of one direction and lowers those of the other instead of
-    biasing them all; a ratio of two fastest runs taken seconds apart does
-    not cancel such drift. Grid: time to evaluate every collision-free
-    outcome of one seed by per-outcome Ryser calls, reported against the
-    xi * N * 2^N operation count at a reference rate. Timings are machine-dependent; only their
+    For a fixed b the model is linear in (a, c), which np.linalg.lstsq
+    solves; b minimizes the squared residual by golden-section search on
+    [0, 3]. Raises np.linalg.LinAlgError when a solve does not converge.
+    """
+    n = np.asarray(ns, dtype=float)
+    t = np.asarray(seconds)
+
+    def solve(b: float) -> tuple[float, float, float]:
+        design = np.column_stack((n * np.exp2(b * n), np.ones_like(n)))
+        (a, c), *_ = np.linalg.lstsq(design, t, rcond=None)
+        return float(a), float(c), float(np.sum((design @ (a, c) - t) ** 2))
+
+    lo, hi = 0.0, 3.0
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if solve(left)[2] <= solve(right)[2]:
+            hi = right
+        else:
+            lo = left
+    b = (lo + hi) / 2.0
+    a, c, _ = solve(b)
+    return {"fit_a": a, "fit_b": b, "fit_c": c}
+
+
+def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
+    """Cost scaling of the permanent kernel and of brute-force scans.
+
+    Single permanents are timed with time.thread_time(), the CPU time of the
+    calling thread, so time the host gives to other processes is not
+    counted. Each size's time is the fastest of `repeats` interleaved timing
+    passes (one untimed warmup pass first), and T = a n 2^(b n) + c is
+    fitted to those times by _fit_cost_model. The kernel is deterministic,
+    so any excess over the fastest run is interference; interleaving the
+    passes keeps one interference burst from biasing every repeat of a
+    single size. The per-added-photon ratio is the median over passes of
+    t(n) / t(n - 1) within one pass, where the two calls run back to back.
+    Passes alternate between ascending and descending n, so a drift in
+    machine speed across a pass raises the ratios of one direction and
+    lowers those of the other instead of biasing them all; a ratio of two
+    fastest runs taken seconds apart does not cancel such drift. Grid:
+    wall-clock time to evaluate every collision-free outcome of one seed by
+    per-outcome Ryser calls, reported against the xi * N * 2^N operation
+    count at a reference rate. Timings are machine-dependent; only their
     ratios are meaningful across machines. Always runs sequentially so
     timings are not distorted by contention.
     """
@@ -719,26 +745,19 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
     times: dict[int, list[float]] = {n: [] for n in ns}
     for rep in range(repeats):
         for n in ns if rep % 2 == 0 else ns[::-1]:
-            t_start = time.perf_counter()
+            t_start = time.thread_time()
             permanent_ryser(matrices[n])
-            times[n].append(time.perf_counter() - t_start)
+            times[n].append(time.thread_time() - t_start)
     best_times = [float(min(times[n])) for n in ns]
     for i, n in enumerate(ns):
         ratio = float(np.median(np.divide(times[n], times[ns[i - 1]]))) if i else None
         cells.append({"table": "single", "n": n, "seconds": best_times[i], "ratio_to_prev": ratio})
     fit: dict[str, float | None] = dict.fromkeys(("fit_a", "fit_b", "fit_c"))  # null if not fitted
-    try:
-        from scipy.optimize import curve_fit
-
-        def model(n, a, b, c):
-            return a * n * np.exp2(b * n) + c
-
-        p0 = (best_times[0] / (ns[0] * 2.0 ** ns[0]), 1.0, 0.0)
-        if len(ns) >= 3:  # one size per parameter at least
-            popt, _ = curve_fit(model, np.asarray(ns, dtype=float), np.asarray(best_times), p0=p0, maxfev=20000)
-            fit = {"fit_a": float(popt[0]), "fit_b": float(popt[1]), "fit_c": float(popt[2])}
-    except Exception:
-        pass
+    if len(ns) >= 3:  # one size per parameter at least
+        try:
+            fit = _fit_cost_model(ns, best_times)
+        except np.linalg.LinAlgError:
+            pass
     for c_idx, (modes, photons) in enumerate(tuple(tuple(c) for c in eff["cells"])):
         space = enumerate_configurations(modes, photons, limit=config.limit)
         u = haar_unitary(modes, rng)

@@ -1,3 +1,7 @@
+import itertools
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,7 @@ from bosonbin.distribution import (
     full_distribution,
     transition_probability,
 )
-from bosonbin.fock import enumerate_configurations, is_collision_free, space_size
+from bosonbin.fock import DEFAULT_ENUMERATION_LIMIT, enumerate_configurations, is_collision_free, space_size
 from bosonbin.linalg import haar_unitary_from_seed, identity_unitary
 
 
@@ -200,6 +204,88 @@ def test_exact_bin_masses_match_the_kernel(case):
             outcomes = [tuple(map(int, r)) for r in space.occupations]
             direct = [transition_probability(matrix, seed, r, stats) for r in outcomes]
             assert np.allclose(masses, direct, rtol=0, atol=1e-13)
+
+
+def inline_rank(occupation):
+    """Canonical rank of a configuration: sum_j C(a_j + j, j + 1) over its
+    photons' modes a_0 <= a_1 <= ..., coded apart from fock."""
+    sorted_modes = [m for m, count in enumerate(occupation) for _ in range(count)]
+    return sum(math.comb(a + j, j + 1) for j, a in enumerate(sorted_modes))
+
+
+def test_inline_rank_is_the_canonical_order():
+    space = enumerate_configurations(7, 3)
+    ranks = [inline_rank(tuple(map(int, row))) for row in space.occupations]
+    assert ranks == list(range(space.size))
+
+
+def block_oracle(modes, blocks, num_bins, stats):
+    """Bin masses of a unitary that is the identity outside Haar blocks.
+
+    blocks lists (active modes, block unitary seed, photons on each active
+    mode). Photons never leave their block, so an outcome's probability is
+    the product of each block's kernel probability for its restricted
+    outcome, and every outcome with mass is reached from the blocks' own
+    small spaces. Returns (unitary, seed, masses)."""
+    unitary = np.eye(modes, dtype=np.complex128)
+    seed = [0] * modes
+    outcomes = []
+    for active, haar_seed, photons_on in blocks:
+        v = haar_unitary_from_seed(len(active), haar_seed)
+        unitary[np.ix_(active, active)] = v.matrix
+        for mode, count in zip(active, photons_on):
+            seed[mode] = count
+        dist = full_distribution(v, photons_on, stats)
+        outcomes.append([(active, row, p) for row, p in zip(dist.space.occupations, dist.probabilities)])
+    offsets = make_partition(space_size(modes, sum(seed)), num_bins).offsets
+    masses = np.zeros(num_bins)
+    for combo in itertools.product(*outcomes):
+        occupation = [0] * modes
+        probability = 1.0
+        for active, row, p in combo:
+            for mode, count in zip(active, row):
+                occupation[mode] = int(count)
+            probability *= p
+        masses[bisect_right(offsets, inline_rank(occupation)) - 1] += probability
+    return unitary, tuple(seed), masses
+
+
+def scattered_modes(modes, count, seed):
+    return sorted(int(m) for m in np.random.default_rng(seed).choice(modes, count, replace=False))
+
+
+@pytest.mark.parametrize("num_bins", [2, 3, 4, 7, 64, 512])
+@pytest.mark.parametrize("stats", list(ParticleStatistics))
+def test_exact_bin_masses_above_the_limit_match_a_block_oracle(stats, num_bins):
+    # k = 10 active modes of M = 100 with N = 6: 1.6e9 outcomes, 5,005 with mass
+    active = scattered_modes(100, 10, 9)
+    photons_on = (1, 0, 1, 1, 0, 1, 0, 1, 0, 1)
+    unitary, seed, oracle = block_oracle(100, [(active, 4, photons_on)], num_bins, stats)
+    assert space_size(100, 6) > 100 * DEFAULT_ENUMERATION_LIMIT
+    masses = exact_bin_masses(unitary, seed, num_bins, stats)
+    assert np.allclose(masses, oracle, rtol=0, atol=1e-13)
+    if num_bins >= 64:  # bins narrower than the support's gaps hold nothing
+        assert np.count_nonzero(oracle == 0.0) > num_bins // 2
+        assert np.count_nonzero(oracle > 1e-6) > 2
+
+
+@pytest.mark.parametrize("stats", [ParticleStatistics.BOSON, ParticleStatistics.DISTINGUISHABLE])
+def test_exact_bin_masses_above_the_limit_with_bunched_seed(stats):
+    active = scattered_modes(100, 10, 11)
+    photons_on = (2, 0, 0, 1, 0, 0, 3, 0, 0, 0)
+    unitary, seed, oracle = block_oracle(100, [(active, 5, photons_on)], 5, stats)
+    assert np.allclose(exact_bin_masses(unitary, seed, 5, stats), oracle, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("num_bins", [3, 64])
+@pytest.mark.parametrize("stats", list(ParticleStatistics))
+def test_exact_bin_masses_above_the_limit_factorize_over_two_blocks(stats, num_bins):
+    # two photon groups on disjoint scattered blocks: the distribution is the
+    # product of the blocks' distributions
+    modes = scattered_modes(100, 11, 13)
+    blocks = [(modes[:5], 6, (1, 1, 0, 1, 0)), (modes[5:], 7, (0, 1, 0, 1, 1, 0))]
+    unitary, seed, oracle = block_oracle(100, blocks, num_bins, stats)
+    assert np.allclose(exact_bin_masses(unitary, seed, num_bins, stats), oracle, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("stats", list(ParticleStatistics))

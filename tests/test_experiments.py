@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_settings_of_another_experiment_are_refused(experiment):
     with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
         run_experiment(config)
     with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
-        ExperimentConfig.from_json(json.loads(json.dumps(config.to_json())))
+        ExperimentConfig.from_json(config_payload(config))
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -152,9 +153,16 @@ def test_out_of_range_settings_are_refused(experiment, overrides, match):
         run_experiment(tiny_config(experiment, **overrides))
 
 
+def config_payload(config):
+    """A config as a JSON file holds it: set fields only, and a schema version."""
+    payload = {k: v for k, v in asdict(config).items() if v is not None}
+    payload["schema_version"] = 1
+    return json.loads(json.dumps(payload))
+
+
 def test_config_json_round_trip():
     cfg = tiny_config("gap_fraction", threads=2)
-    back = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+    back = ExperimentConfig.from_json(config_payload(cfg))
     assert back == cfg
     assert back.bin_list == (2, 3)
     assert back.epsilon_list == (0.05, 0.1)

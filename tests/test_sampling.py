@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonbin import rng as rng_policy
+from bosonbin import sampling
 from bosonbin.binning import bin_masses, make_partition
 from bosonbin.distribution import full_distribution
 from bosonbin.linalg import haar_unitary_from_seed, identity_unitary
@@ -87,6 +88,12 @@ def test_draw_outcomes_counts_sum_to_runs(haar_dist):
     assert counts.dtype == np.int64
     assert int(counts.sum()) == 5000
     assert np.all(counts >= 0)
+
+
+@pytest.mark.parametrize("method", ["cumulative", "alias"])
+def test_draw_outcomes_counts_are_int64(haar_dist, method):
+    counts = draw_outcomes(haar_dist, 1000, rng_policy.generator(4), method=method)
+    assert counts.dtype == np.int64
 
 
 def test_draw_outcomes_deterministic_per_seed(haar_dist):
@@ -211,6 +218,75 @@ def test_alias_tables_match_vose_reference_at_benchmark_size():
     # Porter-Thomas shape of a Haar boson distribution
     weights = rng_policy.generator(595_665).exponential(size=595_665)
     assert_tables_match_reference(weights / weights.sum())
+
+
+def walk_steps(probs):
+    """Events the scalar loop takes in the walk for probs."""
+    prob = probs * len(probs)
+    smalls = np.flatnonzero(prob < 1.0)[::-1]
+    larges = np.flatnonzero(prob >= 1.0)[::-1]
+    return sampling._walk(prob, np.arange(len(probs)), smalls, larges)[2]
+
+
+def test_alias_walk_takes_no_scalar_step_at_benchmark_size():
+    # a silent fallback to the loop keeps the bits, so only the step count shows it
+    weights = rng_policy.generator(595_665).exponential(size=595_665)
+    assert walk_steps(weights / weights.sum()) == 0
+
+
+def dyadic_vector(n, seed):
+    """Integer weights over a power-of-two total: every running sum is exact,
+    so residuals can land exactly on 1.0."""
+    weights = rng_policy.generator(seed).integers(0, 9, size=n)
+    total = 1 << int(weights.sum()).bit_length()
+    weights[-1] += total - weights.sum()
+    return weights / total
+
+
+def test_alias_tables_match_reference_on_dyadic_vector_above_threshold():
+    probs = dyadic_vector(1 << 17, 17)
+    assert len(probs) > ALIAS_METHOD_THRESHOLD
+    assert_tables_match_reference(probs)
+
+
+def mixed_vectors():
+    base = rng_policy.generator(5).exponential(size=3000)
+    base /= base.sum()
+    return [base, base * (1.0 - 1e-7), base * (1.0 + 1e-7), dyadic_vector(1 << 10, 3)]
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 64])
+@pytest.mark.parametrize("case", range(4))
+def test_alias_tables_match_reference_across_windows(monkeypatch, window, case):
+    monkeypatch.setattr(sampling, "_WINDOW", window)
+    assert_tables_match_reference(mixed_vectors()[case])
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_alias_tables_survive_every_guess_wrong(monkeypatch, case):
+    # The first guessed event is always the walk's next one, so flipping it
+    # makes the window a miss: the loop takes one step after each window and,
+    # after _MAX_MISSES of them, finishes the walk. A flip that asks for one
+    # small or demotion more than the window holds drops that kind's last event.
+    guess = sampling._guess_events
+
+    def wrong(d, v, r, smalls_end):
+        ns, order = guess(d, v, r, smalls_end)
+        events = order < ns
+        events[0] = ~events[0]
+        kind = events[0]
+        if np.count_nonzero(events == kind) > (len(d) if kind else len(v)):
+            events = np.delete(events, np.flatnonzero(events == kind)[-1])
+        ns = int(np.count_nonzero(events))
+        order = np.empty(len(events), dtype=np.int64)
+        order[events] = np.arange(ns)
+        order[~events] = ns + np.arange(len(events) - ns)
+        return ns, order
+
+    monkeypatch.setattr(sampling, "_guess_events", wrong)
+    probs = mixed_vectors()[case]
+    assert_tables_match_reference(probs)
+    assert walk_steps(probs) > 0
 
 
 @pytest.mark.parametrize(
