@@ -70,17 +70,35 @@ def make_partition(space_size: int, num_bins: int) -> BinPartition:
 
 def bin_masses(values: np.ndarray, partition: BinPartition) -> np.ndarray:
     """Per-bin sums of per-outcome values (probabilities or draw counts), of
-    one vector or of each column of a (size, seeds) block. Each bin is summed
-    in outcome order, so a column gets the same bits alone as in a block."""
-    if len(values) != partition.space_size:
-        raise ValueError(f"partition covers {partition.space_size} outcomes, values have {len(values)}")
-    return np.add.reduceat(values, np.asarray(partition.offsets[:-1], dtype=np.intp), axis=0)
+    one vector or of each row of a (seeds, size) block; shape (..., bins).
+
+    The first bins are one outcome wider than the rest, so each group of
+    equal widths is one reshaped view, and a bin is its first value plus
+    `np.add.reduce` of the others: the order `np.add.reduceat` sums in (the
+    first element, then a pairwise sum of the rest), bit for bit, so a row
+    gets the same bits alone as in a block. Rows and `np.add.reduce`, because
+    `reduceat` holds the GIL, and down the columns of a (size, seeds) block
+    its cost grows with the block width (see `distribution._batch_probabilities`).
+    """
+    values = np.asarray(values)
+    size = values.shape[-1]
+    if size != partition.space_size:
+        raise ValueError(f"partition covers {partition.space_size} outcomes, values have {size}")
+    base, extra = divmod(size, partition.num_bins)
+    split = extra * (base + 1)
+    lead = values.shape[:-1]
+    out = np.empty(lead + (partition.num_bins,), dtype=values.dtype)
+    for lo, hi, width, bins in ((0, split, base + 1, out[..., :extra]), (split, size, base, out[..., extra:])):
+        v = values[..., lo:hi].reshape(lead + (-1, width))
+        np.add(v[..., 0], np.add.reduce(v[..., 1:], axis=-1), out=bins)
+    return out
 
 
 def top_two(binned: np.ndarray) -> tuple:
-    """Label (smallest on ties), top mass and runner-up mass of each column of
-    per-bin masses; scalars for one vector."""
-    return np.argmax(binned, axis=0), binned.max(axis=0), np.partition(binned, -2, axis=0)[-2]
+    """Label (smallest on ties), top mass and runner-up mass along the last
+    axis of per-bin masses: one per seed of a (seeds, bins) block, scalars
+    for one vector."""
+    return np.argmax(binned, axis=-1), binned.max(axis=-1), np.partition(binned, -2, axis=-1)[..., -2]
 
 
 def exact_bin_masses(

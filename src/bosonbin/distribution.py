@@ -58,7 +58,8 @@ class ScanWorkspace:
 
     Every block of a scan runs into the same one, on one thread, so the
     kernel's arrays are allocated (and page-faulted) once; a call given none
-    makes its own. A block of b seeds uses C-contiguous (rows, b) views.
+    makes its own. A block of b seeds expands into C-contiguous (rows, b)
+    views and leaves its probabilities in a C-contiguous (b, size) one.
     """
 
     def __init__(self, space: FockSpace, statistics: ParticleStatistics, width: int = SCAN_BLOCK):
@@ -66,7 +67,7 @@ class ScanWorkspace:
         steps = space.fermion_steps if statistics is ParticleStatistics.FERMION else space.expansion_steps
         dtype = np.float64 if distinguishable else np.complex128
         self.coefs, self.gathers = _expansion_buffers(steps, width, dtype)
-        # distinguishable particles' probabilities are their last coefficients
+        # distinguishable particles' probabilities are their last coefficients, transposed into a gather
         self.probs = None if distinguishable else np.empty(space.size * width)
 
 
@@ -144,14 +145,22 @@ def _batch_probabilities(
     statistics: ParticleStatistics,
     workspace: ScanWorkspace | None = None,
 ) -> np.ndarray:
-    """Probabilities for a block of seeds, one column per seed; (size, block).
+    """Probabilities for a block of seeds, one row per seed: a C-contiguous
+    (block, size) array.
+
+    Seed-major, so each seed's bin sums (`binning.bin_masses`) run along a
+    contiguous row with `np.add.reduce`, which releases the GIL.
+    `np.add.reduceat` down the columns of a (size, block) array held it and
+    got slower as blocks got wider: the (18,4) sums of one unitary at 2..5
+    bins took 0.18 s at 16 seeds and 0.84 s at 64, against 0.08 and 0.09 s
+    along rows. The expansion itself stays outcome-major.
 
     Every step runs into `workspace` (made for this space and statistics, at
     least a block wide) or one sized for this block. The result is a view of
     it, valid until its next call; its bits do not depend on the workspace.
 
-    Raises RuntimeError if a seed's column misses normalization by more
-    than NORMALIZATION_GUARD.
+    Raises RuntimeError if a seed's row misses normalization by more than
+    NORMALIZATION_GUARD.
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
     columns = space.mode_combos[seed_indices]
@@ -165,12 +174,15 @@ def _batch_probabilities(
     a_buf, b_buf = (g.view(np.float64) for g in workspace.gathers)
     if statistics is ParticleStatistics.BOSON:
         weights = matrix.astype(np.complex128, copy=False)
-        coef = _expand(weights, columns, space.expansion_steps, workspace=workspace)
-        probs = np.square(coef.real, out=_view(workspace.probs, space.size, block))
-        probs += np.square(coef.imag, out=_view(a_buf, space.size, block))
-        probs *= np.divide(fp[:, None], fp[seed_indices], out=_view(b_buf, space.size, block))
+        coef = _expand(weights, columns, space.expansion_steps, workspace=workspace).view(np.float64)
+        np.square(coef, out=coef)  # re^2 and im^2, interleaved
+        probs = _view(workspace.probs, block, space.size)
+        np.add(coef[:, 0::2], coef[:, 1::2], out=probs.T)
+        probs *= np.divide(fp, fp[seed_indices, None], out=_view(b_buf, block, space.size))
     elif statistics is ParticleStatistics.DISTINGUISHABLE:
-        probs = _expand(np.abs(matrix) ** 2, columns, space.expansion_steps, workspace=workspace)
+        coef = _expand(np.abs(matrix) ** 2, columns, space.expansion_steps, workspace=workspace)
+        probs = _view(a_buf, block, space.size)
+        np.copyto(probs, coef.T)
     else:
         if (columns[:, 1:] == columns[:, :-1]).any():
             raise ValueError("fermion seeds must be collision-free")
@@ -179,10 +191,10 @@ def _batch_probabilities(
         cf = len(coef)
         mass = np.square(coef.real, out=_view(a_buf, cf, block))
         mass += np.square(coef.imag, out=_view(b_buf, cf, block))
-        probs = _view(workspace.probs, space.size, block)
+        probs = _view(workspace.probs, block, space.size)
         probs.fill(0.0)
-        probs[space.collision_free_indices] = mass
-    totals = probs.sum(axis=0)
+        probs[:, space.collision_free_indices] = mass.T
+    totals = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(totals - 1.0) <= NORMALIZATION_GUARD))
     if len(bad):
         raise RuntimeError(
@@ -235,7 +247,7 @@ def full_distribution(
     """Exact probabilities for every outcome of the configuration space.
 
     The kernel behind the scans, run on a block of one seed: the result is
-    bit-identical to that seed's column of any block, and reproducible for
+    bit-identical to that seed's row of any block, and reproducible for
     fixed inputs because every step runs in a fixed order.
     """
     stats = ParticleStatistics.from_string(statistics)
@@ -247,7 +259,7 @@ def full_distribution(
     if space.modes != modes:
         raise ValueError(f"space has {space.modes} modes but unitary has {modes}")
     seed_t = validate_configuration(seed, space.modes, space.photons)
-    probs = _batch_probabilities(matrix, [space.index_of(seed_t)], space, stats)[:, 0]
+    probs = _batch_probabilities(matrix, [space.index_of(seed_t)], space, stats)[0]
     return BSDistribution(
         space=space,
         seed=seed_t,

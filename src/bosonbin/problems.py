@@ -23,7 +23,7 @@ from .binning import (
     mpb_from_vector,
 )
 from .distribution import ParticleStatistics, full_distribution
-from .experiments import _thread_map
+from .experiments import _check_threads, _thread_map
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     FockSpace,
@@ -206,6 +206,7 @@ def evaluate_images(
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    _check_threads(threads)
     photons = {sum(int(v) for v in seed) for seed in seeds}
     if len(photons) != 1:
         raise ValueError(f"seeds must share one photon count, got {sorted(photons) or 'no seeds'}")

@@ -83,25 +83,47 @@ def test_bin_probabilities_matches_explicit_loop():
 def test_bin_probabilities_size_mismatch():
     u = haar_unitary_from_seed(6, 1)
     dist = full_distribution(u, (1, 1, 0, 0, 0, 0))
-    block = np.column_stack([dist.probabilities, dist.probabilities])
+    block = np.vstack([dist.probabilities, dist.probabilities])
     for values in (dist.probabilities, block):
         with pytest.raises(ValueError, match="partition covers"):
             bin_masses(values, make_partition(dist.space.size + 1, 3))
 
 
 def test_bin_masses_of_a_block_are_its_columns_alone():
-    # one (size, b) call gives each column the bits of a one-vector call,
-    # for a scan block of probabilities and for draw counts
+    # one (b, size) call gives each row the bits of a one-vector call, for a
+    # scan block of probabilities and for draw counts
     space = enumerate_configurations(18, 4)
     part = make_partition(space.size, 5)
     seeds = np.arange(0, space.size, space.size // 16)[:16]
     probs = _batch_probabilities(haar_unitary_from_seed(18, 2).matrix, seeds, space, ParticleStatistics.BOSON)
-    counts = np.random.default_rng(3).multinomial(10_000, np.full(space.size, 1 / space.size), size=7).T
+    counts = np.random.default_rng(3).multinomial(10_000, np.full(space.size, 1 / space.size), size=7)
     for block in (probs, counts):
         binned = bin_masses(block, part)
-        assert binned.shape == (5, block.shape[1]) and binned.dtype == block.dtype
-        for c in range(block.shape[1]):
-            assert np.array_equal(binned[:, c], bin_masses(np.ascontiguousarray(block[:, c]), part))
+        assert binned.shape == (block.shape[0], 5) and binned.dtype == block.dtype
+        for r in range(block.shape[0]):
+            assert np.array_equal(binned[r], bin_masses(np.ascontiguousarray(block[r]), part))
+
+
+@pytest.mark.parametrize(
+    "size,num_bins",
+    [(5985, d) for d in (2, 3, 4, 5, 7, 64, 512)] + [(37, 36), (37, 37), (595_665, 4)],
+)
+def test_bin_masses_match_reduceat_bit_for_bit(size, num_bins):
+    # bin_masses sums each bin as its first value plus a pairwise sum of the
+    # rest; numpy's reduceat sums in that order, so the bits agree for float
+    # probabilities and integer counts, as vectors and as rows of a block
+    # ((595,665, 4) is (60,4): bins of about 149k outcomes)
+    rng = np.random.default_rng(size + num_bins)
+    part = make_partition(size, num_bins)
+    starts = np.asarray(part.offsets[:-1], dtype=np.intp)
+    floats = rng.dirichlet(np.full(size, 0.3), size=3)
+    counts = rng.multinomial(10 * size, np.full(size, 1 / size), size=3)
+    for block in (floats, counts):
+        for values in (block[0], block):
+            binned = bin_masses(values, part)
+            expected = np.add.reduceat(values, starts, axis=-1)
+            assert binned.dtype == values.dtype
+            assert np.array_equal(binned, expected)
 
 
 def test_mpb_from_vector_basics():
@@ -198,7 +220,7 @@ def test_exact_bin_masses_match_the_kernel(case):
                 exact_bin_masses(matrix, seed, num_bins, stats)
             continue
         masses = exact_bin_masses(matrix, seed, num_bins, stats)
-        probs = _batch_probabilities(matrix, [space.index_of(seed)], space, stats)[:, 0]
+        probs = _batch_probabilities(matrix, [space.index_of(seed)], space, stats)[0]
         assert np.allclose(masses, np.add.reduceat(probs, starts), rtol=0, atol=1e-13)
         if num_bins == space.size:  # one outcome per bin
             outcomes = [tuple(map(int, r)) for r in space.occupations]

@@ -388,6 +388,32 @@ def test_experiment_names_an_empty_or_zero_setting(tmp_path, capsys, experiment,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "config,argv",
+    [({"threads": "2"}, []), ({"threads": 1.5}, []), ({"threads": True}, []), ({}, ["--threads", "-3"])],
+)
+def test_experiment_refuses_a_bad_thread_count(tmp_path, capsys, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"modes": 5, "photons": 2, "unitary_count": 1, **config}))
+    out_dir = tmp_path / "reports"
+    code, _, err = run_cli(
+        capsys,
+        "experiment", "gap_fraction", "--config", str(path), "--master-seed", "1",
+        "--out", str(out_dir), *argv,
+    )
+    assert code == 2
+    assert err.startswith("error: threads must")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_problem_refuses_a_bad_thread_count(tmp_path, capsys, threads):
+    code, out, err = run_cli(capsys, "problem", write_instance(tmp_path), "--solve", "--threads", threads)
+    assert code == 2
+    assert err.startswith("error: threads must")
+    assert out == ""
+
+
 def test_experiment_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "warp_drive", "--master-seed", "1", "--out", "/tmp"])

@@ -229,7 +229,7 @@ def test_kernel_matches_per_outcome_oracles(case):
     space = enumerate_configurations(modes, photons)
     index = space.index_of(seed)
     probs = {
-        stats: _batch_probabilities(matrix, [index], space, stats)[:, 0]
+        stats: _batch_probabilities(matrix, [index], space, stats)[0]
         for stats in ParticleStatistics
         if stats is not ParticleStatistics.FERMION or is_collision_free(seed)
     }
@@ -276,8 +276,9 @@ def test_kernel_columns_do_not_depend_on_the_block(statistics):
     ]
     # compared after every call: each call without a workspace has buffers of its own
     assert np.array_equal(block, again) and not np.shares_memory(block, again)
+    assert block.shape == (11, space.size) and block.flags.c_contiguous  # one row per seed
     for j, probs in enumerate(alone):
-        assert np.array_equal(block[:, j], probs)
+        assert np.array_equal(block[j], probs)
         assert not any(np.shares_memory(probs, other) for other in alone[j + 1 :])
 
 
@@ -293,9 +294,10 @@ def test_workspace_blocks_match_single_seed_distributions(statistics):
     # full, partial, then full blocks again: one workspace across width changes
     for block in (seeds[:16], seeds[16:21], seeds[21:37], seeds[37:53]):
         probs = _batch_probabilities(u.matrix, block, space, statistics, workspace)
+        assert probs.shape == (len(block), space.size) and probs.flags.c_contiguous
         for j, index in enumerate(block):
             alone = full_distribution(u, space.configuration(int(index)), statistics, space=space)
-            assert np.array_equal(probs[:, j], alone.probabilities)
+            assert np.array_equal(probs[j], alone.probabilities)
 
 
 @pytest.mark.parametrize("statistics", list(ParticleStatistics))

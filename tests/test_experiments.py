@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from bosonbin.binning import make_partition
-from bosonbin.distribution import ParticleStatistics, full_distribution
+from bosonbin.distribution import SCAN_BLOCK, ParticleStatistics, full_distribution
 from bosonbin.experiments import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
@@ -203,6 +204,29 @@ def _single_seed_scan(unitary, space, bin_list, seed_indices, statistics):
             for column, value in zip(out[d], (label, binned[label], np.partition(binned, -2)[-2])):
                 column.append(value)
     return {d: tuple(np.asarray(c) for c in cols) for d, cols in out.items()}
+
+
+def test_scan_calls_the_kernel_through_the_experiments_module(monkeypatch):
+    # external tracers time the scan kernel by wrapping this module attribute,
+    # so every block of every unitary must go through it, on every thread
+    import bosonbin.experiments as experiments
+
+    kernel = experiments._batch_probabilities
+    calls = []
+
+    def counting(matrix, seed_indices, *args):
+        calls.append((matrix.tobytes(), len(seed_indices)))
+        return kernel(matrix, seed_indices, *args)
+
+    monkeypatch.setattr(experiments, "_batch_probabilities", counting)
+    run_experiment(tiny_config("gap_fraction", threads=2))
+    size = enumerate_configurations(7, 3).size
+    per_unitary = {}
+    for matrix, seeds in calls:
+        per_unitary.setdefault(matrix, []).append(seeds)
+    assert len(per_unitary) == 2
+    for seeds in per_unitary.values():
+        assert len(seeds) == math.ceil(size / SCAN_BLOCK) and sum(seeds) == size
 
 
 @pytest.mark.parametrize("statistics", list(ParticleStatistics))
