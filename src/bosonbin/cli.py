@@ -90,14 +90,13 @@ def cmd_mpb(args: argparse.Namespace) -> int:
         dist = full_distribution(unitary, seed, limit=args.limit)
         partition = make_partition(dist.space.size, args.bins)
         plan = chernoff_sample_size(args.bins, args.epsilon, args.delta, args.eta, args.gamma)
-        result, _ = estimate_mpb(dist, partition, plan, generator(args.rng_seed), method=args.method)
+        result, _ = estimate_mpb(dist, partition, plan, generator(args.rng_seed))
         payload.update(
             epsilon=plan.epsilon,
             delta=plan.delta,
             eta=plan.eta,
             gamma=plan.gamma,
             n_min=plan.n_min,
-            method=args.method,
             rng_seed=args.rng_seed,
         )
     payload.update(asdict(result))
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mpb.add_argument("--mode", default="exact", choices=["exact", "sampled"])
     _add_budget_args(p_mpb)
     p_mpb.add_argument("--rng-seed", type=int, help="sampling seed (required for --mode sampled)")
-    p_mpb.add_argument("--method", default="auto", choices=["auto", "cumulative", "alias"])
     p_mpb.add_argument("--out", help="also write the JSON result here")
     p_mpb.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
     p_mpb.set_defaults(func=cmd_mpb)

@@ -1,16 +1,16 @@
 """Reproducible numerical experiments over Haar-random interferometers.
 
-Every experiment takes an ExperimentConfig, resolves per-experiment
-defaults, spends one master seed, and returns an ExperimentReport whose
-non-timing content is bit-reproducible for a fixed config (independent of
-thread count: child generators and result slots are assigned by index).
+run_experiment resolves an ExperimentConfig once against its experiment's
+defaults, runs the experiment on that one master seed, and returns an
+ExperimentReport whose non-timing content is bit-reproducible for a fixed
+config (independent of thread count: child generators and result slots are
+assigned by index).
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -23,6 +23,7 @@ from .distribution import SCAN_BLOCK, ParticleStatistics, ScanWorkspace, _batch_
 from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations
 from .io import atomic_write_text, write_json
 from .linalg import haar_unitary, permanent_ryser, submatrix
+from .rng import _check_int, _thread_map
 
 REFERENCE_FLOPS = 1e9
 
@@ -100,48 +101,59 @@ EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
 RUN_FIELDS = ("experiment", "master_seed", "quick", "threads", "limit")
 
 
-@dataclass
+@dataclass(init=False)
 class ExperimentConfig:
-    """Knobs for one experiment run; an experiment takes RUN_FIELDS and the
-    settings of its EXPERIMENT_DEFAULTS entry, and None falls back to those."""
+    """Knobs for one experiment run: RUN_FIELDS, plus settings that override
+    its EXPERIMENT_DEFAULTS entry. resolved() checks them all."""
 
     experiment: str
     master_seed: int
-    quick: bool = False
-    threads: int = 1
-    unitary_count: int | None = None
-    modes: int | None = None
-    photons: int | None = None
-    photon_list: tuple[int, ...] | None = None
-    bin_list: tuple[int, ...] | None = None
-    seed_limit: int | None = None
-    epsilon_list: tuple[float, ...] | None = None
-    dp: float | None = None
-    pairs: tuple[str, ...] | None = None
-    cells: tuple[tuple[int, int], ...] | None = None
-    seed_sample: int | None = None
-    n_range: tuple[int, int] | None = None
-    repeats: int | None = None
-    size_measure: str | None = None
-    limit: int = DEFAULT_ENUMERATION_LIMIT
+    quick: bool
+    threads: int
+    limit: int
+    settings: dict[str, Any]
+
+    def __init__(
+        self,
+        experiment: str,
+        master_seed: int,
+        quick: bool = False,
+        threads: int = 1,
+        limit: int = DEFAULT_ENUMERATION_LIMIT,
+        **settings: Any,
+    ):
+        self.experiment = experiment
+        self.master_seed = master_seed
+        self.quick = quick
+        self.threads = threads
+        self.limit = limit
+        self.settings = _plain(settings)
 
     def resolved(self) -> dict[str, Any]:
         """Registered defaults (quick_<key> replacing <key> under quick) overridden
-        by set fields; a set field the experiment does not read is refused."""
+        by the given settings, plus the run fields. Refuses an unknown
+        experiment, a setting it does not take, a setting without its
+        default's type, and a value out of range."""
         if self.experiment not in EXPERIMENT_DEFAULTS:
             known = ", ".join(sorted(EXPERIMENT_DEFAULTS))
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
         defaults = EXPERIMENT_DEFAULTS[self.experiment]
         settings = [k for k in defaults if not k.startswith("quick_")]
-        given = {k: v for k, v in asdict(self).items() if k not in RUN_FIELDS and v is not None}
-        refused = sorted(set(given) - set(settings))
+        refused = sorted(set(self.settings) - set(settings))
         if refused:
             raise ValueError(
                 f"{self.experiment} does not take {', '.join(refused)}; "
                 f"its settings: {', '.join(settings)}"
             )
+        for key, value in self.settings.items():
+            if not _fits(value, defaults[key]):
+                raise ValueError(f"{key} must be {_kind(defaults[key])}, got {value!r}")
+        for key, least in (("master_seed", 0), ("threads", 1), ("limit", 1)):
+            _check_int(key, getattr(self, key), least)
+        if not isinstance(self.quick, bool):
+            raise ValueError(f"quick must be true or false, got {self.quick!r}")
         eff = {k: defaults.get(f"quick_{k}" if self.quick else k, defaults[k]) for k in settings}
-        eff.update(given)
+        eff.update(self.settings)
         for key in ("unitary_count", "seed_limit", "seed_sample"):
             if key in eff and eff[key] < 1:
                 raise ValueError(f"{key} must be >= 1, got {eff[key]}")
@@ -150,7 +162,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must not be empty")
         if "epsilon_list" in eff and not all(0 < e < 1 for e in eff["epsilon_list"]):
             raise ValueError(f"epsilon_list must lie in (0, 1), got {list(eff['epsilon_list'])}")
-        _check_threads(self.threads)
         eff.update({k: getattr(self, k) for k in RUN_FIELDS})
         return _plain(eff)
 
@@ -160,18 +171,26 @@ class ExperimentConfig:
         data.pop("schema_version", None)
         if "experiment" not in data or "master_seed" not in data:
             raise ValueError("experiment config needs 'experiment' and 'master_seed'")
-        tupled = {}
-        for key, value in data.items():
-            if isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-            tupled[key] = value
-        valid = set(cls.__dataclass_fields__)
-        unknown = set(tupled) - valid
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        config = cls(**tupled)
-        config.resolved()
-        return config
+        return cls(**data)
+
+
+def _fits(value: Any, default: Any) -> bool:
+    """Whether a setting has its default's type: no bool anywhere, an int or
+    a float for a float, and for a tuple a list or tuple whose items fit its
+    first item."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _kind(default: Any, plural: bool = False) -> str:
+    """The type _fits asks for, in words: "an integer", "a list of lists of integers"."""
+    if isinstance(default, tuple):
+        noun = "list" + "s" * plural + " of " + _kind(default[0], True)
+    else:
+        noun = {int: "integer", float: "number", str: "string"}[type(default)] + "s" * plural
+    return noun if plural else ("an " if noun[0] in "aeiou" else "a ") + noun
 
 
 def _plain(value: Any) -> Any:
@@ -249,27 +268,6 @@ def report_fingerprint(report: ExperimentReport) -> dict[str, Any]:
     return strip(report.to_payload())
 
 
-def _check_threads(threads: Any) -> None:
-    """Refuse a thread count that is not an integer of at least 1."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-
-
-def _thread_map(fn: Callable[[int], None], count: int, threads: int) -> None:
-    """fn(i) for each index; results must be written by index so thread
-    scheduling cannot reorder anything observable."""
-    if threads <= 1:
-        for i in range(count):
-            fn(i)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, range(count)))
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _scan_blocks(
     matrix: np.ndarray, space: FockSpace, seed_indices: np.ndarray, statistics: ParticleStatistics
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -334,14 +332,15 @@ def _sample_std(values: np.ndarray) -> float:
 
 
 CellResults = list[tuple[FockSpace, list[Any]]]
+Outcome = tuple[dict[str, Any], list[dict[str, Any]]]  # a report's summary and cells
 
 
 def _scan_experiment(
-    config: ExperimentConfig,
+    eff: dict[str, Any],
     grid: list[tuple[int, int]],
     per_unitary: Callable[[FockSpace, np.ndarray, np.random.Generator], Any],
-    reduce: Callable[[CellResults], tuple[dict[str, Any], list[dict[str, Any]]]],
-) -> ExperimentReport:
+    reduce: Callable[[CellResults], Outcome],
+) -> Outcome:
     """The scan behind every Haar experiment.
 
     For each (modes, photons) cell of the grid, the space is enumerated once
@@ -351,39 +350,28 @@ def _scan_experiment(
     u, so the report does not depend on the thread count. reduce gets
     [(space, results)] in grid order and returns the summary and the cells.
     """
-    eff = config.resolved()
-    started, t0 = _now(), time.perf_counter()
     count = eff["unitary_count"]
-    children = rng_policy.split(config.master_seed, len(grid) * count)
+    children = rng_policy.split(eff["master_seed"], len(grid) * count)
     results: CellResults = []
     for c_idx, (modes, photons) in enumerate(grid):
-        space = enumerate_configurations(modes, photons, limit=config.limit)
+        space = enumerate_configurations(modes, photons, limit=eff["limit"])
         outs: list[Any] = [None] * count
 
         def work(u_idx: int) -> None:
             child = children[c_idx * count + u_idx]
             outs[u_idx] = per_unitary(space, haar_unitary(modes, child).matrix, child)
 
-        _thread_map(work, count, config.threads)
+        _thread_map(work, count, eff["threads"])
         results.append((space, outs))
-    summary, cells = reduce(results)
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=eff,
-        started_at=started,
-        wall_seconds=time.perf_counter() - t0,
-        summary=summary,
-        cells=cells,
-    )
+    return reduce(results)
 
 
-def run_mpb_seed_scan(config: ExperimentConfig) -> ExperimentReport:
+def run_mpb_seed_scan(eff: dict[str, Any]) -> Outcome:
     """MPB label and margin of every early seed under one fixed unitary.
 
     Walks the first `seed_limit` seeds in code order and records, per bin
     count, the label trace and where it changes.
     """
-    eff = config.resolved()
     bin_list = tuple(eff["bin_list"])
 
     def per_unitary(space, matrix, child):
@@ -421,16 +409,15 @@ def run_mpb_seed_scan(config: ExperimentConfig) -> ExperimentReport:
         }
         return summary, cells
 
-    return _scan_experiment(config, [(eff["modes"], eff["photons"])], per_unitary, reduce)
+    return _scan_experiment(eff, [(eff["modes"], eff["photons"])], per_unitary, reduce)
 
 
-def run_bin_fraction(config: ExperimentConfig) -> ExperimentReport:
+def run_bin_fraction(eff: dict[str, Any]) -> Outcome:
     """Fraction of seeds mapping to each bin label, across Haar unitaries.
 
     For each photon count the whole seed space is scanned per unitary; the
     per-label fractions are averaged over unitaries.
     """
-    eff = config.resolved()
     bin_list = tuple(eff["bin_list"])
 
     def per_unitary(space, matrix, child):
@@ -472,12 +459,11 @@ def run_bin_fraction(config: ExperimentConfig) -> ExperimentReport:
         return summary, cells + bound_rows
 
     grid = [(eff["modes"], photons) for photons in eff["photon_list"]]
-    return _scan_experiment(config, grid, per_unitary, reduce)
+    return _scan_experiment(eff, grid, per_unitary, reduce)
 
 
-def run_pmax_histogram(config: ExperimentConfig) -> ExperimentReport:
+def run_pmax_histogram(eff: dict[str, Any]) -> Outcome:
     """Histogram of the MPB mass p0 over all seeds, per bin count."""
-    eff = config.resolved()
     bin_list = tuple(eff["bin_list"])
     dp = float(eff["dp"])
     if not 0 < dp <= 1:
@@ -530,14 +516,13 @@ def run_pmax_histogram(config: ExperimentConfig) -> ExperimentReport:
         }
         return summary, cells
 
-    return _scan_experiment(config, [(eff["modes"], eff["photons"])], per_unitary, reduce)
+    return _scan_experiment(eff, [(eff["modes"], eff["photons"])], per_unitary, reduce)
 
 
-def run_gap_fraction(config: ExperimentConfig) -> ExperimentReport:
+def run_gap_fraction(eff: dict[str, Any]) -> Outcome:
     """Fraction of seeds whose top-two bin gap is at most epsilon."""
-    eff = config.resolved()
     bin_list = tuple(eff["bin_list"])
-    eps_list = tuple(float(e) for e in eff["epsilon_list"])
+    eps_list = eff["epsilon_list"]
 
     def per_unitary(space, matrix, child):
         scan = _mpb_scan(matrix, space, bin_list)
@@ -575,7 +560,7 @@ def run_gap_fraction(config: ExperimentConfig) -> ExperimentReport:
         }
         return summary, cells
 
-    return _scan_experiment(config, [(eff["modes"], eff["photons"])], per_unitary, reduce)
+    return _scan_experiment(eff, [(eff["modes"], eff["photons"])], per_unitary, reduce)
 
 
 _PAIR_STATS = {
@@ -584,16 +569,15 @@ _PAIR_STATS = {
 }
 
 
-def run_collision(config: ExperimentConfig) -> ExperimentReport:
+def run_collision(eff: dict[str, Any]) -> Outcome:
     """Label agreement between bosons and fermions/distinguishable particles.
 
     For each (modes, photons) cell, all collision-free seeds are scanned per
     unitary under both particle types of each pair; the per-unitary match
     fraction is aggregated over unitaries, per bin count.
     """
-    eff = config.resolved()
     bin_list = tuple(eff["bin_list"])
-    pairs = tuple(eff["pairs"])
+    pairs = eff["pairs"]
     for p in pairs:
         if p not in _PAIR_STATS:
             raise ValueError(f"unknown statistics pair {p!r}; known: BD, BF")
@@ -631,18 +615,17 @@ def run_collision(config: ExperimentConfig) -> ExperimentReport:
                             "size_cf": int(collision_free_count(space.modes, space.photons)),
                         }
                     )
-        return {"unitary_count": eff["unitary_count"], "pairs": list(pairs)}, cells
+        return {"unitary_count": eff["unitary_count"], "pairs": pairs}, cells
 
-    return _scan_experiment(config, eff["cells"], per_unitary, reduce)
+    return _scan_experiment(eff, eff["cells"], per_unitary, reduce)
 
 
-def run_maxprob_scaling(config: ExperimentConfig) -> ExperimentReport:
+def run_maxprob_scaling(eff: dict[str, Any]) -> Outcome:
     """Largest single-outcome probability versus space size, with a power-law fit.
 
     Samples seeds per cell, records max_r P(r|s), and fits
     log(mean) = log(a) + b log(size) over the grid.
     """
-    eff = config.resolved()
     seed_sample = eff["seed_sample"]
     size_measure = eff["size_measure"]
     if size_measure not in ("full", "collision_free"):
@@ -689,7 +672,7 @@ def run_maxprob_scaling(config: ExperimentConfig) -> ExperimentReport:
         }
         return summary, cells
 
-    return _scan_experiment(config, eff["cells"], per_unitary, reduce)
+    return _scan_experiment(eff, eff["cells"], per_unitary, reduce)
 
 
 def _fit_cost_model(ns: list[int], seconds: list[float]) -> dict[str, float]:
@@ -720,7 +703,7 @@ def _fit_cost_model(ns: list[int], seconds: list[float]) -> dict[str, float]:
     return {"fit_a": a, "fit_b": b, "fit_c": c}
 
 
-def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
+def run_ryser_benchmark(eff: dict[str, Any]) -> Outcome:
     """Cost scaling of the permanent kernel and of brute-force scans.
 
     Single permanents are timed with time.thread_time(), the CPU time of the
@@ -742,13 +725,11 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
     ratios are meaningful across machines. Always runs sequentially so
     timings are not distorted by contention.
     """
-    eff = config.resolved()
-    started, t0 = _now(), time.perf_counter()
     n_lo, n_hi = eff["n_range"]
     repeats = eff["repeats"]
     if not (1 <= n_lo <= n_hi and repeats >= 1):
         raise ValueError(f"need 1 <= n_lo <= n_hi and repeats >= 1, got {[n_lo, n_hi]} and {repeats}")
-    rng = rng_policy.generator(config.master_seed)
+    rng = rng_policy.generator(eff["master_seed"])
     cells: list[dict[str, Any]] = []
     ns = list(range(n_lo, n_hi + 1))
     matrices = {
@@ -773,8 +754,8 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
             fit = _fit_cost_model(ns, best_times)
         except np.linalg.LinAlgError:
             pass
-    for c_idx, (modes, photons) in enumerate(tuple(tuple(c) for c in eff["cells"])):
-        space = enumerate_configurations(modes, photons, limit=config.limit)
+    for modes, photons in eff["cells"]:
+        space = enumerate_configurations(modes, photons, limit=eff["limit"])
         u = haar_unitary(modes, rng)
         cf_rows = [space.configuration(int(i)) for i in space.collision_free_indices]
         seed = cf_rows[0]
@@ -798,18 +779,10 @@ def run_ryser_benchmark(config: ExperimentConfig) -> ExperimentReport:
                 "model_seconds_at_reference": float(xi * photons * 2.0**photons / REFERENCE_FLOPS),
             }
         )
-    summary = {"repeats": repeats, "reference_flops": REFERENCE_FLOPS, **fit}
-    return ExperimentReport(
-        experiment=config.experiment,
-        config=eff,
-        started_at=started,
-        wall_seconds=time.perf_counter() - t0,
-        summary=summary,
-        cells=cells,
-    )
+    return {"repeats": repeats, "reference_flops": REFERENCE_FLOPS, **fit}, cells
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentReport]] = {
+EXPERIMENTS: dict[str, Callable[[dict[str, Any]], Outcome]] = {
     "mpb_seed_scan": run_mpb_seed_scan,
     "bin_fraction": run_bin_fraction,
     "pmax_histogram": run_pmax_histogram,
@@ -821,7 +794,9 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentReport]] = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    if config.experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {config.experiment!r}; known: {known}")
-    return EXPERIMENTS[config.experiment](config)
+    """Resolve the config once, run its experiment on the resolved settings
+    and report them with its summary, cells and timing."""
+    eff = config.resolved()
+    started, t0 = datetime.now(timezone.utc).isoformat(), time.perf_counter()
+    summary, cells = EXPERIMENTS[config.experiment](eff)
+    return ExperimentReport(config.experiment, eff, started, time.perf_counter() - t0, summary, cells)

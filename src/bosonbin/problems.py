@@ -23,7 +23,6 @@ from .binning import (
     mpb_from_vector,
 )
 from .distribution import ParticleStatistics, full_distribution
-from .experiments import _check_threads, _thread_map
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     FockSpace,
@@ -42,6 +41,7 @@ from .linalg import (
     unitary_from_json,
     unitary_to_json,
 )
+from .rng import _check_int, _thread_map
 from .sampling import SamplePlan, estimate_mpb
 
 MAX_SEED_FRACTION = 0.1
@@ -206,7 +206,7 @@ def evaluate_images(
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    _check_threads(threads)
+    _check_int("threads", threads, 1)
     photons = {sum(int(v) for v in seed) for seed in seeds}
     if len(photons) != 1:
         raise ValueError(f"seeds must share one photon count, got {sorted(photons) or 'no seeds'}")

@@ -7,6 +7,9 @@ on global state or on thread scheduling.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable
+
 import numpy as np
 
 
@@ -41,3 +44,20 @@ def split(seed: int, count: int) -> list[np.random.Generator]:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     children = np.random.SeedSequence(int(seed)).spawn(count)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
+
+
+def _check_int(key: str, value: Any, least: int) -> None:
+    """Refuse a seed, thread count or limit that is not an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+
+
+def _thread_map(fn: Callable[[int], None], count: int, threads: int) -> None:
+    """fn(i) for each index; results must be written by index so thread
+    scheduling cannot reorder anything observable."""
+    if threads <= 1:
+        for i in range(count):
+            fn(i)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fn, range(count)))

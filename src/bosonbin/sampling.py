@@ -255,7 +255,6 @@ def estimate_mpb(
     partition: BinPartition,
     plan: SamplePlan,
     rng: np.random.Generator,
-    method: str = "auto",
 ) -> tuple[MPBResult, np.ndarray]:
     """Estimate the most probable bin from plan.n_min sampled runs; returns
     the result and the per-bin counts of the draws.
@@ -268,5 +267,5 @@ def estimate_mpb(
         raise ValueError(
             f"plan covers {plan.num_bins} bins but partition has {partition.num_bins}"
         )
-    counts = bin_masses(draw_outcomes(dist, plan.n_min, rng, method=method), partition)
+    counts = bin_masses(draw_outcomes(dist, plan.n_min, rng), partition)
     return mpb_from_vector(counts / plan.n_min, tie_epsilon=plan.epsilon - plan.delta), counts

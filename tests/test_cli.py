@@ -406,6 +406,39 @@ def test_experiment_refuses_a_bad_thread_count(tmp_path, capsys, config, argv):
     assert not out_dir.exists()
 
 
+# small runs, so a config that is wrongly accepted still ends fast
+SMALL = {
+    "gap_fraction": {"modes": 5, "photons": 2, "unitary_count": 1},
+    "pmax_histogram": {"modes": 5, "photons": 2, "unitary_count": 1},
+    "ryser_benchmark": {"n_range": [6, 8], "repeats": 1, "cells": [[4, 2]]},
+}
+
+
+@pytest.mark.parametrize(
+    "experiment,key,config",
+    [
+        ("gap_fraction", "unitary_count", {"unitary_count": "2"}),
+        ("gap_fraction", "limit", {"limit": "500"}),
+        ("gap_fraction", "epsilon_list", {"epsilon_list": ["0.1"]}),
+        ("ryser_benchmark", "repeats", {"repeats": "2"}),
+        ("ryser_benchmark", "n_range", {"n_range": [6.5, 8]}),
+        ("gap_fraction", "quick", {"quick": "no"}),
+        ("pmax_histogram", "dp", {"dp": "0.5"}),
+    ],
+)
+def test_experiment_refuses_a_setting_of_the_wrong_type(tmp_path, capsys, experiment, key, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL[experiment], **config}))
+    out_dir = tmp_path / "reports"
+    code, _, err = run_cli(
+        capsys,
+        "experiment", experiment, "--config", str(path), "--master-seed", "1", "--out", str(out_dir),
+    )
+    assert code == 2
+    assert err.startswith(f"error: {key} must")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_problem_refuses_a_bad_thread_count(tmp_path, capsys, threads):
     code, out, err = run_cli(capsys, "problem", write_instance(tmp_path), "--solve", "--threads", threads)

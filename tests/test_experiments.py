@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from bosonbin.experiments import (
     EXPERIMENTS,
     RUN_FIELDS,
     ExperimentConfig,
+    _fits,
     _mpb_scan,
     report_fingerprint,
     run_experiment,
@@ -67,15 +67,26 @@ def test_resolved_rejects_unknown_experiment():
         run_experiment(ExperimentConfig(experiment="warp_drive", master_seed=1))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, True, "3"])
+def test_resolved_refuses_a_bad_master_seed(seed):
+    with pytest.raises(ValueError, match="master_seed must be an integer >= 0"):
+        ExperimentConfig(experiment="gap_fraction", master_seed=seed).resolved()
+
+
+def test_an_int_fits_a_float_default_and_numpy_ints_resolve_as_ints():
+    config = tiny_config("pmax_histogram", modes=np.int64(8), dp=1)
+    eff = config.resolved()
+    assert (type(eff["modes"]), eff["dp"]) == (int, 1)
+    assert run_experiment(config).summary["dp"] == 1.0
+
+
 def test_experiment_registry_matches_defaults():
     assert set(EXPERIMENTS) == set(EXPERIMENT_DEFAULTS)
-    fields = set(ExperimentConfig.__dataclass_fields__) - set(RUN_FIELDS)
     for name, defaults in EXPERIMENT_DEFAULTS.items():
-        for key in defaults:
-            if key.startswith("quick_"):
-                assert key.removeprefix("quick_") in defaults, (name, key)
-            else:
-                assert key in fields, (name, key)
+        for key, value in defaults.items():
+            setting = key.removeprefix("quick_")
+            assert setting in defaults and setting not in RUN_FIELDS, (name, key)
+            assert _fits(value, defaults[setting]), (name, key)
         timed = name == "ryser_benchmark"
         assert ("unitary_count" in defaults) is not timed, name
         assert ("quick_unitary_count" in defaults) is not timed, name
@@ -104,7 +115,7 @@ def test_settings_of_another_experiment_are_refused(experiment):
     with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
         run_experiment(config)
     with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
-        ExperimentConfig.from_json(config_payload(config))
+        ExperimentConfig.from_json(config_payload(config)).resolved()
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -147,6 +158,15 @@ def test_ryser_benchmark_quick_is_smaller():
         ("gap_fraction", dict(epsilon_list=(1.0,)), r"epsilon_list must lie in \(0, 1\)"),
         ("gap_fraction", dict(epsilon_list=(float("nan"),)), r"epsilon_list must lie in \(0, 1\)"),
         ("collision", dict(pairs=("BB",)), "unknown statistics pair"),
+        ("mpb_seed_scan", dict(modes=True), "modes must be an integer, got True"),
+        ("mpb_seed_scan", dict(seed_limit=10.0), "seed_limit must be an integer"),
+        ("pmax_histogram", dict(dp=None), "dp must be a number"),
+        ("gap_fraction", dict(epsilon_list=0.1), "epsilon_list must be a list of numbers"),
+        ("collision", dict(cells=((6, 2.0),)), "cells must be a list of lists of integers"),
+        ("collision", dict(pairs=(1,)), "pairs must be a list of strings"),
+        ("maxprob_scaling", dict(size_measure=1), "size_measure must be a string"),
+        ("gap_fraction", dict(quick=1), "quick must be true or false"),
+        ("gap_fraction", dict(limit=0), "limit must be an integer >= 1"),
     ],
 )
 def test_out_of_range_settings_are_refused(experiment, overrides, match):
@@ -155,8 +175,8 @@ def test_out_of_range_settings_are_refused(experiment, overrides, match):
 
 
 def config_payload(config):
-    """A config as a JSON file holds it: set fields only, and a schema version."""
-    payload = {k: v for k, v in asdict(config).items() if v is not None}
+    """A config as a JSON file holds it: run fields, given settings and a schema version."""
+    payload = {**{k: getattr(config, k) for k in RUN_FIELDS}, **config.settings}
     payload["schema_version"] = 1
     return json.loads(json.dumps(payload))
 
@@ -165,17 +185,18 @@ def test_config_json_round_trip():
     cfg = tiny_config("gap_fraction", threads=2)
     back = ExperimentConfig.from_json(config_payload(cfg))
     assert back == cfg
-    assert back.bin_list == (2, 3)
-    assert back.epsilon_list == (0.05, 0.1)
+    assert back.settings["bin_list"] == [2, 3]
+    assert back.settings["epsilon_list"] == [0.05, 0.1]
+    assert back.resolved() == cfg.resolved()
 
 
 def test_config_from_json_validation():
     with pytest.raises(ValueError, match="master_seed"):
         ExperimentConfig.from_json({"experiment": "collision"})
-    with pytest.raises(ValueError, match="unknown config fields"):
+    with pytest.raises(ValueError, match="collision does not take warp"):
         ExperimentConfig.from_json(
             {"experiment": "collision", "master_seed": 1, "warp": True}
-        )
+        ).resolved()
 
 
 def test_mpb_scan_identity_unitary_reads_off_partition():

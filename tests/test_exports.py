@@ -6,6 +6,8 @@ import bosonbin
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "bosonbin"
 # the MPB rule (bin sums, heaviest bin, runner-up) has one home, binning.py
 REDUCTIONS = {"reduceat", "argmax"}
+# each module imports only modules listed before it
+LAYERS = ("io", "rng", "fock", "linalg", "distribution", "binning", "sampling", "problems", "experiments", "cli")
 
 
 def test_all_lists_each_export_once_in_order():
@@ -36,3 +38,21 @@ def test_only_binning_reduces_bins():
             if _is_reduction(node):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found and all(line.startswith("binning.py:") for line in found), found
+
+
+def _relative_imports(tree: ast.AST):
+    """Modules a module of this package imports; it imports them relatively."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else [alias.name for alias in node.names]
+
+
+def test_each_module_imports_only_the_modules_before_it():
+    assert {path.stem for path in SOURCES.glob("*.py")} == {*LAYERS, "__init__"}
+    found = []
+    for i, name in enumerate(LAYERS):
+        path = SOURCES / f"{name}.py"
+        for module in _relative_imports(ast.parse(path.read_text(), filename=str(path))):
+            if module.split(".")[0] not in LAYERS[:i]:
+                found.append(f"{name} imports {module}")
+    assert not found, found
