@@ -237,7 +237,7 @@ def _class_mass(
     f = len(fixed)
     fermion = stats is ParticleStatistics.FERMION
     free_steps = steps(photons, photons - f)
-    rest = free_steps[-1].modes  # the complements T^c
+    rest = free_steps.rows()  # the complements T^c
     keep = np.ones((len(rest), photons), dtype=bool)
     keep[np.arange(len(rest))[:, None], rest] = False
     subsets = np.nonzero(keep)[1].reshape(len(rest), f)  # the T

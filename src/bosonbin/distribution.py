@@ -19,7 +19,7 @@ import numpy as np
 
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
-    ExpansionStep,
+    ColexTables,
     FockSpace,
     enumerate_configurations,
     format_configuration,
@@ -30,8 +30,17 @@ from .io import atomic_write_text
 from .linalg import _as_matrix, determinant, permanent_ryser, submatrix
 
 NORMALIZATION_GUARD = 1e-6
-# seeds per kernel call in scans over many seeds
-SCAN_BLOCK = 16
+# Bytes of one scan thread's workspace: what 16 seeds of the (18,4) boson
+# kernel took while the last degree had tables. A scan block takes as many
+# seeds as fit (`scan_width`), 25 at (18,4). The last degree makes about 3.5 N
+# numpy calls per mode and block whatever the block's width, so narrow blocks
+# of small spaces are mostly call overhead. On a 2-vCPU Xeon host, against
+# the full-table kernel at 16 seeds: the two-thread (18,4) scan was 8% slower
+# at 20 seeds, level at 24 and 5% faster at 25 (medians of 8 runs), and the
+# `collision` experiment ((16,2) to (25,3), three statistics) was 9% slower
+# at 25 seeds and 8% faster at this budget's 62 to 2,096 seeds (0.945 s
+# against 0.869 s, medians of 8 runs).
+SCAN_BYTES = 5_703_808
 
 
 class ParticleStatistics(Enum):
@@ -60,23 +69,44 @@ class ScanWorkspace:
     kernel's arrays are allocated (and page-faulted) once; a call given none
     makes its own. A block of b seeds expands into C-contiguous (rows, b)
     views and leaves its probabilities in a C-contiguous (b, size) one.
+
+    No buffer holds a (size, N) index table or a gather of the last degree:
+    that degree is built one last mode at a time (`_expand`), so the gathers
+    span only the widest lower degree. Per outcome and seed of width that is
+    the last coefficients (16 bytes, 8 for distinguishable particles) and
+    the probabilities (8 bytes), plus the lower degrees: at (18,4) a boson
+    workspace takes 220 KB per seed of width (the full-table kernel's took
+    356 KB), so one scan thread holds 5.5 MB at its 25 seeds; at (60,4) one
+    seed's takes 28 bytes per outcome for bosons, 25 for fermions and 18
+    for distinguishable particles (57, 48 and 25 with full tables).
     """
 
-    def __init__(self, space: FockSpace, statistics: ParticleStatistics, width: int = SCAN_BLOCK):
-        distinguishable = statistics is ParticleStatistics.DISTINGUISHABLE
-        steps = space.fermion_steps if statistics is ParticleStatistics.FERMION else space.expansion_steps
-        dtype = np.float64 if distinguishable else np.complex128
-        self.coefs, self.gathers = _expansion_buffers(steps, width, dtype)
-        # distinguishable particles' probabilities are their last coefficients, transposed into a gather
-        self.probs = None if distinguishable else np.empty(space.size * width)
+    def __init__(self, space: FockSpace, statistics: ParticleStatistics, width: int):
+        fermion = statistics is ParticleStatistics.FERMION
+        dtype = np.float64 if statistics is ParticleStatistics.DISTINGUISHABLE else np.complex128
+        tables = space.fermion_expansion if fermion else space.expansion
+        self.coefs, self.gathers = _expansion_buffers(tables, width, dtype)
+        self.probs = np.empty(space.size * width)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in (*self.coefs, *self.gathers, self.probs))
 
 
-def _expansion_buffers(steps: Sequence[ExpansionStep], width: int, dtype: np.dtype) -> tuple:
-    """`_expand`'s flat buffers: each degree's coefficients and zero row, and two gathers."""
-    rows = [len(step.modes) for step in steps]
-    widest = max(rows) * width  # over sets of distinct modes the widest degree is not always the last
-    gathers = (np.empty(widest, dtype), np.empty(widest, dtype))
-    return [np.empty((r + 1) * width, dtype) for r in rows], gathers
+def scan_width(space: FockSpace, statistics: ParticleStatistics) -> int:
+    """Seeds per block of a scan: as many as a workspace of SCAN_BYTES holds,
+    and at least one. (Buffers from np.empty are not touched here, so sizing
+    one seed's workspace costs no page faults.)"""
+    return max(1, SCAN_BYTES // ScanWorkspace(space, statistics, 1).nbytes)
+
+
+def _expansion_buffers(tables: ColexTables, width: int, dtype: np.dtype) -> tuple:
+    """`_expand`'s flat buffers: each degree's coefficients, with a zero row
+    after every degree but the last, and three gathers as wide as the widest
+    lower degree (every last-mode block of the last degree fits in them)."""
+    rows = [len(step.modes) + 1 for step in tables.steps] + [tables.size]
+    widest = max(rows[:-1], default=1) * width
+    return [np.empty(r * width, dtype) for r in rows], tuple(np.empty(widest, dtype) for _ in range(3))
 
 
 def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -87,38 +117,58 @@ def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _expand(
     weights: np.ndarray,
     columns: np.ndarray,
-    steps: Sequence[ExpansionStep],
+    tables: ColexTables,
     fermion: bool = False,
     workspace: ScanWorkspace | None = None,
 ) -> np.ndarray:
     """Coefficient of x^r in prod_k (sum_i weights[i, c_k] x_i) for every
-    last-degree row r of `steps` and every column list c in `columns`;
+    last-degree row r of `tables` and every column list c in `columns`;
     shape (rows, block).
 
     Degree k is built from degree k - 1 by one term per distinct mode m of
     each row, weights[m, c_{k-1}] times the coefficient of the row without
     m. With `fermion` the placements anticommute: the photon at sorted
     position p of a degree-k row carries the Laplace sign (-1)^(k-1-p), so
-    over rows of distinct modes the coefficient is det(weights[r, c]). The
-    steps run into `workspace`'s buffers, or ones sized for this call, and
-    the result is a view of them. Each column is computed on its own by
+    over rows of distinct modes the coefficient is det(weights[r, c]).
+
+    Degrees below N gather through their step tables. Degree N has none: it
+    is built one last mode m at a time, from the degree-(N - 1) prefix rows
+    i of that block (`fock.ColexTables`). Position N - 1 takes weights[m]
+    times row i itself, for the rows i < below[m] that do not end in m.
+    Position p < N - 1 takes row i's predecessor through the degree-(N - 1)
+    index column p, offset to the rows that end in m, and a zero weight
+    where it repeats a mode. Every product is written to a buffer that is
+    neither of its inputs: numpy rounds a one-element complex product
+    without FMA when `out` is an input, so a one-row block computed in place
+    would not keep the bits of the full-table kernel. That kernel did
+    multiply in place, so a last degree of one entry (sets of N = M modes,
+    one column) still does.
+
+    No (size, N) index table exists, and no buffer spans the last degree but
+    its coefficients: one (60,4) boson seed runs in 28 bytes per outcome, one
+    (18,4) scan thread in 220 KB per seed of width (`ScanWorkspace`).
+
+    The steps run into `workspace`'s buffers, or ones sized for this call,
+    and the result is a view of them. Each column is computed on its own by
     elementwise steps in a fixed order, so it depends on neither the rest of
     the block nor the buffers.
     """
-    if len(steps[0].modes) > len(weights):  # the gathers below clip their indices
-        raise ValueError(f"steps over {len(steps[0].modes)} modes, weights over {len(weights)}")
+    modes = tables.modes
+    if modes > len(weights):  # the gathers below clip their indices
+        raise ValueError(f"steps over {modes} modes, weights over {len(weights)}")
     block = len(columns)
     if workspace is None:
-        coefs, (a_buf, b_buf) = _expansion_buffers(steps, block, weights.dtype)
+        coefs, gathers = _expansion_buffers(tables, block, weights.dtype)
     else:
-        coefs, (a_buf, b_buf) = workspace.coefs, workspace.gathers
+        coefs, gathers = workspace.coefs, workspace.gathers
+    a_buf, b_buf, c_buf = gathers
     prev = np.zeros((2, block), dtype=weights.dtype)  # degree 0 and its zero row
     prev[0] = 1
-    for k, step in enumerate(steps, start=1):
+    for k, step in enumerate(tables.steps, start=1):
         rows = len(step.modes)
         w = weights[:, columns[:, k - 1]]
-        # a zero row after every degree but the last: the next degree gathers it for repeated modes
-        coef = _view(coefs[k - 1], rows + (k < len(steps)), block)
+        # a zero row after the degree: the next one gathers it for repeated modes
+        coef = _view(coefs[k - 1], rows + 1, block)
         coef[rows:] = 0
         acc = coef[:rows]
         a, b = _view(a_buf, rows, block), _view(b_buf, rows, block)
@@ -135,7 +185,35 @@ def _expand(
                 np.multiply(a, b, out=a)
                 (np.subtract if negate else np.add)(acc, a, out=acc)
         prev = coef
-    return prev
+    # degree N, one last mode at a time
+    k = len(tables.steps) + 1
+    w = np.zeros((modes + 1, block), dtype=weights.dtype)  # row M weighs repeated positions
+    w[:modes] = weights[:modes, columns[:, k - 1]]
+    out = _view(coefs[-1], tables.size, block)
+    product = a_buf if out.size == 1 else c_buf
+    for m, start, stop, below, weight_columns, pred_columns in tables.blocks:
+        count = stop - start
+        acc = out[start:stop]
+        ending_in_m = prev[below:]  # the degree-(N - 1) rows that end in m come first
+        a, b, c = (_view(g, count, block) for g in (a_buf, b_buf, product))
+        for p, (weight_column, pred_column) in enumerate(zip(weight_columns, pred_columns)):
+            w.take(weight_column, axis=0, out=a, mode="clip")
+            ending_in_m.take(pred_column, axis=0, out=b, mode="clip")
+            negate = fermion and (k - 1 - p) % 2 == 1
+            if p == 0:
+                np.multiply(a, b, out=acc)
+                if negate:
+                    np.negative(acc, out=acc)
+            else:
+                np.multiply(a, b, out=c)
+                (np.subtract if negate else np.add)(acc, c, out=acc)
+        if k == 1:
+            np.multiply(w[m : m + 1], prev[:count], out=acc)
+        elif below:
+            a[:below] = w[m]
+            np.multiply(a[:below], prev[:below], out=c[:below])
+            np.add(acc[:below], c[:below], out=acc[:below])
+    return out
 
 
 def _batch_probabilities(
@@ -163,37 +241,32 @@ def _batch_probabilities(
     NORMALIZATION_GUARD.
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
-    columns = space.mode_combos[seed_indices]
+    columns = space.expansion.rows(seed_indices)
     block = len(columns)
     matrix = np.asarray(matrix)
+    fermion = statistics is ParticleStatistics.FERMION
+    if fermion and (columns[:, 1:] == columns[:, :-1]).any():
+        raise ValueError("fermion seeds must be collision-free")
     if statistics is ParticleStatistics.BOSON:
         fp = space.factorial_products  # cached; built before the buffers, its temporaries add no peak
     if workspace is None:
         workspace = ScanWorkspace(space, statistics, block)
-    # float scratch: the gather buffers are free once the expansion is done
-    a_buf, b_buf = (g.view(np.float64) for g in workspace.gathers)
-    if statistics is ParticleStatistics.BOSON:
-        weights = matrix.astype(np.complex128, copy=False)
-        coef = _expand(weights, columns, space.expansion_steps, workspace=workspace).view(np.float64)
-        np.square(coef, out=coef)  # re^2 and im^2, interleaved
-        probs = _view(workspace.probs, block, space.size)
-        np.add(coef[:, 0::2], coef[:, 1::2], out=probs.T)
-        probs *= np.divide(fp, fp[seed_indices, None], out=_view(b_buf, block, space.size))
-    elif statistics is ParticleStatistics.DISTINGUISHABLE:
-        coef = _expand(np.abs(matrix) ** 2, columns, space.expansion_steps, workspace=workspace)
-        probs = _view(a_buf, block, space.size)
-        np.copyto(probs, coef.T)
+    probs = _view(workspace.probs, block, space.size)
+    if statistics is ParticleStatistics.DISTINGUISHABLE:
+        np.copyto(probs, _expand(np.abs(matrix) ** 2, columns, space.expansion, workspace=workspace).T)
     else:
-        if (columns[:, 1:] == columns[:, :-1]).any():
-            raise ValueError("fermion seeds must be collision-free")
         weights = matrix.astype(np.complex128, copy=False)
-        coef = _expand(weights, columns, space.fermion_steps, fermion=True, workspace=workspace)
-        cf = len(coef)
-        mass = np.square(coef.real, out=_view(a_buf, cf, block))
-        mass += np.square(coef.imag, out=_view(b_buf, cf, block))
-        probs = _view(workspace.probs, block, space.size)
-        probs.fill(0.0)
-        probs[:, space.collision_free_indices] = mass.T
+        tables = space.fermion_expansion if fermion else space.expansion
+        coef = _expand(weights, columns, tables, fermion, workspace).view(np.float64)
+        np.square(coef, out=coef)  # re^2 and im^2, interleaved
+        if fermion:
+            probs.fill(0.0)
+            probs[:, space.collision_free_indices] = np.add(coef[:, 0::2], coef[:, 1::2], out=coef[:, 0::2]).T
+        else:
+            np.add(coef[:, 0::2], coef[:, 1::2], out=probs.T)
+            # the squares are spent, so their buffer takes the factorial ratios
+            ratio = _view(workspace.coefs[-1].view(np.float64), block, space.size)
+            probs *= np.divide(fp, fp[seed_indices, None], out=ratio)
     totals = probs.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(totals - 1.0) <= NORMALIZATION_GUARD))
     if len(bad):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rng_policy
 from .binning import bin_masses, make_partition, top_two
-from .distribution import SCAN_BLOCK, ParticleStatistics, ScanWorkspace, _batch_probabilities
+from .distribution import ParticleStatistics, ScanWorkspace, _batch_probabilities, scan_width
 from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations
 from .io import atomic_write_text, write_json
 from .linalg import haar_unitary, permanent_ryser, submatrix
@@ -162,6 +162,10 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must not be empty")
         if "epsilon_list" in eff and not all(0 < e < 1 for e in eff["epsilon_list"]):
             raise ValueError(f"epsilon_list must lie in (0, 1), got {list(eff['epsilon_list'])}")
+        if any(len(cell) != 2 for cell in eff.get("cells", ())):
+            raise ValueError(f"cells must be [modes, photons] pairs, got {_plain(eff['cells'])}")
+        if len(eff.get("n_range", (1, 1))) != 2:
+            raise ValueError(f"n_range must be a pair [lo, hi], got {_plain(eff['n_range'])}")
         eff.update({k: getattr(self, k) for k in RUN_FIELDS})
         return _plain(eff)
 
@@ -271,12 +275,13 @@ def report_fingerprint(report: ExperimentReport) -> dict[str, Any]:
 def _scan_blocks(
     matrix: np.ndarray, space: FockSpace, seed_indices: np.ndarray, statistics: ParticleStatistics
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, probs) per block of up to SCAN_BLOCK seeds from seed_indices[lo], probs
-    a (seeds, outcomes) array. Every block runs into one workspace, so its probs
-    are valid until the next block."""
-    workspace = ScanWorkspace(space, statistics, min(SCAN_BLOCK, len(seed_indices)))
-    for lo in range(0, len(seed_indices), SCAN_BLOCK):
-        block = seed_indices[lo : lo + SCAN_BLOCK]
+    """(lo, probs) per block of up to `scan_width` seeds from seed_indices[lo],
+    probs a (seeds, outcomes) array. Every block runs into one workspace, so
+    its probs are valid until the next block."""
+    width = scan_width(space, statistics)
+    workspace = ScanWorkspace(space, statistics, min(width, len(seed_indices)))
+    for lo in range(0, len(seed_indices), width):
+        block = seed_indices[lo : lo + width]
         yield lo, _batch_probabilities(matrix, block, space, statistics, workspace)
 
 

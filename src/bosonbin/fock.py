@@ -9,7 +9,9 @@ the order stays total (it is then just ascending photon mode index).
 That order is the colex order of the sorted photon mode lists a (rank
 ``sum_j C(a_j + j, j + 1)``): every t_j <= N, so no digit of the code
 carries, and codes compare occupations from the last mode down. One
-recursive pass builds the rows of every photon count and their predecessors.
+recursive pass builds the rows of every photon count below N and their
+predecessors; the N-photon rows are those rows followed by one last mode,
+so they are laid out in one block per last mode and never tabulated.
 """
 from __future__ import annotations
 
@@ -132,18 +134,29 @@ def parse_configuration(text: str) -> tuple[int, ...]:
 class FockSpace:
     """All configurations of a (modes, photons) pair in canonical code order.
 
+    No (size, photons) table exists. `expansion` keeps full tables for
+    photon counts 1..N - 1 only; the configurations are its last degree,
+    laid out in one block per last mode (`ColexTables`), and each
+    per-configuration array below is built block by block from binomials.
+    At (60,4) the space keeps 2.8 MB (under 5 bytes per configuration) and
+    peaks at 4.8 MB while it is built; one (size, 4) index table is 19 MB.
+    The kernel then needs 28 bytes per outcome for one boson seed and 220 KB
+    per seed of width at (18,4), 5.5 MB for one scan thread's 25 seeds
+    (`distribution.ScanWorkspace`).
+
     Attributes:
         modes: mode count M.
         photons: photon count N.
         size: number of configurations.
-        mode_combos: intp array of shape (size, photons); row i lists the
-            photon mode indices of configuration i, ascending.
-        expansion_steps: degree 1..N tables over photon multisets, built
-            with the space; degree N's rows are mode_combos.
+        expansion: `ColexTables` over photon multisets, built with the
+            space; its last degree is the space and
+            ``expansion.rows(indices)`` gives sorted photon modes.
         codes: ascending list of integer codes (exact Python ints),
             built on first access.
         occupations: uint8 array of shape (size, modes); row i is
-            configuration i, built on first access.
+            configuration i, built on first access (for CSV output).
+        collision_free_indices, factorial_products, fermion_expansion:
+            built on first access.
     """
 
     def __init__(self, modes: int, photons: int, limit: int = DEFAULT_ENUMERATION_LIMIT):
@@ -157,8 +170,7 @@ class FockSpace:
         self.modes = int(modes)
         self.photons = int(photons)
         self.size = size
-        self.expansion_steps = _colex_steps(self.modes, self.photons, distinct=False)
-        self.mode_combos = self.expansion_steps[-1].modes
+        self.expansion = _colex_steps(self.modes, self.photons, distinct=False)
 
     def __repr__(self) -> str:
         return f"FockSpace(modes={self.modes}, photons={self.photons}, size={self.size})"
@@ -166,12 +178,21 @@ class FockSpace:
     def configuration(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} out of range for size {self.size}")
-        return tuple(np.bincount(self.mode_combos[index], minlength=self.modes).tolist())
+        return tuple(np.bincount(self.expansion.rows([index])[0], minlength=self.modes).tolist())
+
+    def _degree_blocks(self, k: int) -> list[tuple[int, int, int]]:
+        """(start, count, below) of each last mode of the k-photon rows (`_last_mode_blocks`)."""
+        below, starts = _last_mode_blocks(self.modes, k, distinct=False)
+        return [(starts[m], starts[m + 1] - starts[m], below[m]) for m in range(self.modes)]
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        occ = np.zeros((self.size, self.modes), dtype=np.uint8)
-        np.add.at(occ, (np.arange(self.size)[:, None], self.mode_combos), 1)
+        occ = np.zeros((1, self.modes), dtype=np.uint8)  # the empty row
+        for k in range(1, self.photons + 1):
+            prev, occ = occ, np.empty((space_size(self.modes, k), self.modes), dtype=np.uint8)
+            for m, (start, count, _) in enumerate(self._degree_blocks(k)):
+                occ[start : start + count] = prev[:count]
+                occ[start : start + count, m] += 1
         return occ
 
     def index_of(self, configuration: Sequence[int]) -> int:
@@ -182,40 +203,49 @@ class FockSpace:
     @cached_property
     def codes(self) -> list[int]:
         radix = max(self.photons, 2)
-        powers = [radix**j for j in range(self.modes)]
-        return [sum(map(powers.__getitem__, row)) for row in zip(*self.mode_combos.T.tolist())]
+        codes = [0]  # the empty row
+        for k in range(1, self.photons + 1):
+            blocks = enumerate(self._degree_blocks(k))
+            codes = [c + radix**m for m, (_, count, _) in blocks for c in codes[:count]]
+        return codes
 
     @cached_property
     def collision_free_indices(self) -> np.ndarray:
-        # sorted rows repeat a mode only in adjacent positions
-        combos = self.mode_combos
-        return np.flatnonzero((combos[:, 1:] != combos[:, :-1]).all(axis=1))
+        # the collision-free rows that end in m are the first C(m, k - 1)
+        # collision-free (k - 1)-photon rows, every mode of them below m
+        cf = np.zeros(1, dtype=np.intp)
+        for k in range(1, self.photons + 1):
+            blocks = enumerate(self._degree_blocks(k))
+            cf = np.concatenate([start + cf[: math.comb(m, k - 1)] for m, (start, _, _) in blocks])
+        return cf
 
     @cached_property
     def factorial_products(self) -> np.ndarray:
         """prod_j t_j! per configuration, as float64."""
-        # The photon at sorted position p is the run-th of its mode, so the
-        # product of run lengths is prod_j t_j!, exact in float64 up to 18
-        # photons. No (size, modes) temporary is made: at (60,4) that would
-        # be the largest array of the process.
-        combos = self.mode_combos
-        run = np.ones(self.size)
-        out = np.ones(self.size)
-        for p in range(1, self.photons):
-            run = np.where(combos[:, p] == combos[:, p - 1], run + 1.0, 1.0)
-            out *= run
+        # A row that ends in m whose prefix row also ends in m (index >= below)
+        # makes a run one longer: the product gains the run length, exact in
+        # float64 up to 18 photons.
+        out, run = np.ones(1), np.ones(1)  # the empty row
+        for k in range(1, self.photons + 1):
+            prev, prev_run = out, run
+            out, run = np.empty(space_size(self.modes, k)), np.empty(space_size(self.modes, k))
+            for start, count, below in self._degree_blocks(k):
+                rows = slice(start, start + count)
+                run[rows] = 1.0
+                np.add(prev_run[below:count], 1.0, out=run[start + below : start + count])
+                np.multiply(prev[:count], run[rows], out=out[rows])
         return out
 
     @cached_property
-    def fermion_steps(self) -> tuple["ExpansionStep", ...]:
-        """Degree 1..N tables over sets of distinct modes; degree N is the
+    def fermion_expansion(self) -> "ColexTables":
+        """`ColexTables` over sets of distinct modes; its last degree is the
         collision-free configurations in the order of collision_free_indices."""
         return _colex_steps(self.modes, self.photons, distinct=True)
 
 
 @dataclass(frozen=True, eq=False)
 class ExpansionStep:
-    """Degree k of the expansion of a product of linear forms, k >= 1.
+    """Degree k of the expansion of a product of linear forms, 1 <= k < N.
 
     Attributes:
         modes: (size_k, k) sorted photon modes of each degree-k row.
@@ -232,30 +262,101 @@ class ExpansionStep:
     predecessors: np.ndarray
 
 
-def _colex_steps(modes: int, photons: int, distinct: bool) -> tuple[ExpansionStep, ...]:
-    """Tables for degrees 1..photons; degree k lists every sorted k-photon row
-    (of distinct modes if `distinct`) in colex order.
+@dataclass(frozen=True, eq=False)
+class ColexTables:
+    """Every sorted N-photon row over `modes` modes (of distinct modes for
+    fermions) in colex order, as the expansion kernel reads them.
 
-    Colex order sorts rows by their last mode first, so the degree-k rows
-    that end in mode m are a prefix of the degree-(k - 1) table (its rows
-    with every mode <= m, or < m if distinct), each followed by m. Without
-    its last position such a row is its prefix row i. Without position
-    p < k - 1 it is the degree-(k - 2) row raw[i, p] followed by m, which
-    sits below[m] rows further down the degree-(k - 1) table, below[m] being
-    the number of degree-(k - 1) rows with every mode < m.
+    Degrees 1..N - 1 are full tables (`steps`); degree N has none. Colex
+    order sorts rows by their last mode first, so the degree-N rows that
+    end in mode m are rows starts[m]:starts[m + 1], and row starts[m] + i is
+    the degree-(N - 1) row i followed by m. Those prefix rows are the ones
+    with every mode <= m (< m over sets); the first below[m] of them have
+    every mode < m. No (size, N) table exists: the last degree costs only
+    the (size_{N-1}, N - 1) `weight_rows`.
+
+    Attributes:
+        modes: mode count M.
+        steps: `ExpansionStep` of degrees 1..N - 1.
+        below: below[m], m = 0..M, is the number of degree-(N - 1) rows with
+            every mode < m; the degree-(N - 1) rows that end in m are rows
+            below[m]:below[m + 1].
+        starts: first degree-N row of each last mode, then the row count.
+        weight_rows: (size_{N-1}, N - 1), column-major: the mode each
+            position of a degree-(N - 1) row weighs when the row is a
+            degree-N prefix, or M (a zero weight) where it repeats the
+            position before.
     """
-    rows = np.arange(modes, dtype=np.intp)[:, None]
-    raw = np.zeros((modes, 1), dtype=np.intp)  # degree 0 is the empty row
-    steps = [ExpansionStep(rows, raw)]
-    for k in range(2, photons + 1):
-        below = [math.comb(m if distinct else m + k - 2, k - 1) for m in range(modes + 1)]
-        counts = below[:-1] if distinct else below[1:]
-        starts = list(accumulate(counts, initial=0))
+
+    modes: int
+    steps: tuple[ExpansionStep, ...]
+    below: tuple[int, ...]
+    starts: tuple[int, ...]
+    weight_rows: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.starts[-1]
+
+    @cached_property
+    def blocks(self) -> list[tuple[int, int, int, int, list[np.ndarray], list[np.ndarray]]]:
+        """(m, start, stop, below[m], weight columns, predecessor columns) of
+        each last mode m with rows, the degree-(N - 1) index columns cut to
+        the block's prefix rows once, so the kernel slices none per call."""
+        pred = self.steps[-1].predecessors if self.steps else self.weight_rows
+        blocks = []
+        for m in range(self.modes):
+            start, stop = self.starts[m], self.starts[m + 1]
+            if stop > start:
+                weights, preds = (list(table[: stop - start].T) for table in (self.weight_rows, pred))
+                blocks.append((m, start, stop, self.below[m], weights, preds))
+        return blocks
+
+    def rows(self, indices: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
+        """(len(indices), N) sorted photon modes of the given degree-N rows,
+        all of them if None."""
+        index = np.arange(self.size) if indices is None else np.asarray(indices, dtype=np.intp)
+        if index.size and not (index.min() >= 0 and index.max() < self.size):
+            raise IndexError(f"row indices outside 0..{self.size - 1}")
+        last = np.searchsorted(self.starts, index, side="right") - 1
+        if not self.steps:  # one photon: the prefix is the empty row
+            return last[:, None]
+        return np.column_stack([self.steps[-1].modes[index - np.take(self.starts, last)], last])
+
+
+def _last_mode_blocks(modes: int, k: int, distinct: bool) -> tuple[list[int], list[int]]:
+    """below and starts of the k-photon rows in colex order, k >= 1: below[m]
+    counts the (k - 1)-photon rows with every mode < m, and the k-photon rows
+    that end in m start at starts[m]; they are the first below[m + 1] (over
+    multisets) or below[m] (over sets) (k - 1)-photon rows, each followed by m."""
+    below = [math.comb(m if distinct else max(m + k - 2, 0), k - 1) for m in range(modes + 1)]
+    return below, list(accumulate(below[:-1] if distinct else below[1:], initial=0))
+
+
+def _colex_steps(modes: int, photons: int, distinct: bool) -> ColexTables:
+    """Tables for degrees 1..photons - 1 and the block layout of degree
+    `photons`; degree k lists every sorted k-photon row (of distinct modes if
+    `distinct`) in colex order.
+
+    The degree-k rows that end in mode m are a prefix of the degree-(k - 1)
+    table, each followed by m (`_last_mode_blocks`). Without its last
+    position such a row is its prefix row i. Without position p < k - 1 it
+    is the degree-(k - 2) row raw[i, p] followed by m, which sits below[m]
+    rows further down the degree-(k - 1) table. The kernel builds the last
+    degree the same way, one last mode at a time, so it needs no table of it:
+    no (size, N) table exists, and at (60,4) the tables keep 2.8 MB where
+    one (size, 4) table takes 19 MB.
+    """
+    rows = raw = np.zeros((1, 0), dtype=np.intp)  # degree 0 is the empty row
+    steps = []
+    for k in range(1, photons):
+        below, starts = _last_mode_blocks(modes, k, distinct)
         prev, prev_raw = rows, raw
         rows = np.empty((starts[-1], k), dtype=np.intp, order="F")
         raw = np.empty_like(rows)
-        for m, count in enumerate(counts):
+        for m in range(modes):
             block = slice(starts[m], starts[m + 1])
+            count = block.stop - block.start
             rows[block, :-1] = prev[:count]
             rows[block, -1] = m
             np.add(prev_raw[:count], below[m], out=raw[block, :-1])
@@ -265,9 +366,15 @@ def _colex_steps(modes: int, photons: int, distinct: bool) -> tuple[ExpansionSte
             pred = raw.copy(order="F")
             np.copyto(pred[:, 1:], len(prev), where=rows[:, 1:] == rows[:, :-1])
         steps.append(ExpansionStep(rows, pred))
+    weight_rows = rows
+    if not distinct:  # as a degree-N prefix, a repeated position weighs the zero row M
+        weight_rows = rows.copy(order="F")
+        np.copyto(weight_rows[:, 1:], modes, where=rows[:, 1:] == rows[:, :-1])
+    below, starts = _last_mode_blocks(modes, photons, distinct)
+    tables = ColexTables(modes, tuple(steps), tuple(below), tuple(starts), weight_rows)
     _check_colex(rows, modes, distinct)
-    _check_predecessors(steps)
-    return tuple(steps)
+    _check_predecessors(tables)
+    return tables
 
 
 def _check_colex(rows: np.ndarray, modes: int, distinct: bool) -> None:
@@ -280,21 +387,37 @@ def _check_colex(rows: np.ndarray, modes: int, distinct: bool) -> None:
     after = np.zeros(max(size - 1, 0), dtype=bool)  # row r + 1 after row r, on the columns so far
     for lo, hi in zip(rows[:-1].T, rows[1:].T):
         after = (hi > lo) | ((hi == lo) & after)
-    in_range = size == 0 or (rows[:, 0].min() >= 0 and rows[:, -1].max() < modes)
+    in_range = rows.size == 0 or (rows[:, 0].min() >= 0 and rows[:, -1].max() < modes)
     if not (size == expected and in_range and sorted_rows and after.all()):
         raise RuntimeError("colex tables do not list every sorted row once, in colex order")
 
 
-def _check_predecessors(steps: Sequence[ExpansionStep]) -> None:
-    """Raise unless every degree-k predecessor is a degree-(k - 1) row or the
-    zero row one past them. The kernel gathers with clipped indices, which
-    would read a wrong row instead of failing."""
+def _check_predecessors(tables: ColexTables) -> None:
+    """Raise unless every term of the expansion reads a row of the degree
+    below it. The kernel gathers with clipped indices, which would read a
+    wrong row instead of failing.
+
+    Up to degree N - 1 a predecessor is a degree-(k - 1) row or the zero row
+    one past them. Degree-N block m reads the degree-(N - 1) rows that end in
+    m, so a prefix row's predecessor, for each position that weighs a mode,
+    must stay below their count in the first block that reads the row.
+    """
     prev_rows = 1  # degree 0 is the empty row
-    for step in steps:
+    for step in tables.steps:
         pred = step.predecessors
         if pred.size and not (pred.min() >= 0 and pred.max() <= prev_rows):
             raise RuntimeError(f"degree-{pred.shape[1]} predecessors outside rows 0..{prev_rows}")
         prev_rows = len(step.modes)
+    weights = tables.weight_rows
+    if not weights.size:
+        return
+    pred = tables.steps[-1].predecessors
+    first = np.searchsorted(np.diff(tables.starts), np.arange(len(pred)), side="right")
+    room = np.append(np.diff(tables.below), np.iinfo(np.intp).max)[first]  # a row no block reads
+    weighed = weights < tables.modes
+    inside = (pred >= 0) & (pred < room[:, None])
+    if not (weights.min() >= 0 and weights.max() <= tables.modes and (inside | ~weighed).all()):
+        raise RuntimeError(f"degree-{pred.shape[1] + 1} predecessors outside the rows of their last mode")
 
 
 def enumerate_configurations(

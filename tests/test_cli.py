@@ -411,6 +411,8 @@ SMALL = {
     "gap_fraction": {"modes": 5, "photons": 2, "unitary_count": 1},
     "pmax_histogram": {"modes": 5, "photons": 2, "unitary_count": 1},
     "ryser_benchmark": {"n_range": [6, 8], "repeats": 1, "cells": [[4, 2]]},
+    "maxprob_scaling": {"unitary_count": 1, "seed_sample": 2},
+    "collision": {"unitary_count": 1, "bin_list": [2]},
 }
 
 
@@ -424,6 +426,12 @@ SMALL = {
         ("ryser_benchmark", "n_range", {"n_range": [6.5, 8]}),
         ("gap_fraction", "quick", {"quick": "no"}),
         ("pmax_histogram", "dp", {"dp": "0.5"}),
+        # a cell that is not a (modes, photons) pair, and a range that is not a pair
+        ("maxprob_scaling", "cells", {"cells": [[4, 2], [6, 2, 1]]}),
+        ("collision", "cells", {"cells": [[6, 2], [7]]}),
+        ("ryser_benchmark", "cells", {"cells": [[4, 2, 2]]}),
+        ("ryser_benchmark", "n_range", {"n_range": [6, 7, 8]}),
+        ("ryser_benchmark", "n_range", {"n_range": [6]}),
     ],
 )
 def test_experiment_refuses_a_setting_of_the_wrong_type(tmp_path, capsys, experiment, key, config):

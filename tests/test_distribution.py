@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonbin.binning import exact_bin_masses
 from bosonbin.distribution import (
+    SCAN_BYTES,
     BSDistribution,
     ParticleStatistics,
     ScanWorkspace,
     _batch_probabilities,
     amplitude,
     full_distribution,
+    scan_width,
     transition_probability,
 )
 from bosonbin.fock import enumerate_configurations, is_collision_free
@@ -290,7 +294,7 @@ def test_workspace_blocks_match_single_seed_distributions(statistics):
     space = enumerate_configurations(8, 5)
     fermion = statistics is ParticleStatistics.FERMION
     seeds = space.collision_free_indices if fermion else np.arange(0, space.size, 13)
-    workspace = ScanWorkspace(space, statistics)
+    workspace = ScanWorkspace(space, statistics, 16)
     # full, partial, then full blocks again: one workspace across width changes
     for block in (seeds[:16], seeds[16:21], seeds[21:37], seeds[37:53]):
         probs = _batch_probabilities(u.matrix, block, space, statistics, workspace)
@@ -300,11 +304,21 @@ def test_workspace_blocks_match_single_seed_distributions(statistics):
             assert np.array_equal(probs[j], alone.probabilities)
 
 
+# Bytes per outcome of one seed's peak at (30,4), measured at 32.1, 25.4 and
+# 20.4: the last degree's coefficients (16 bytes, 8 for distinguishable
+# particles), the probabilities (8 bytes), then the lower degrees and three
+# gathers of at most one lower degree each (about 8 bytes, 4 for
+# distinguishable particles). A (size, 4) index table would add 32.
+SINGLE_SEED_BYTES = {
+    ParticleStatistics.BOSON: 36,
+    ParticleStatistics.FERMION: 28,
+    ParticleStatistics.DISTINGUISHABLE: 23,
+}
+
+
 @pytest.mark.parametrize("statistics", list(ParticleStatistics))
 def test_single_seed_kernel_peak_memory(statistics):
-    # a call without a workspace makes one sized for its one seed: every
-    # degree's coefficients, two gathers and the probabilities, which stay
-    # under four (size,) complex arrays (64 bytes per outcome) as long as the
+    # a call without a workspace makes one sized for its one seed; the
     # gathers copy no index column and no cached table is built beside them
     space = enumerate_configurations(30, 4)
     u = haar_unitary_from_seed(30, 3)
@@ -317,26 +331,96 @@ def test_single_seed_kernel_peak_memory(statistics):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base <= 64 * space.size
+    assert peak - base < SINGLE_SEED_BYTES[statistics] * space.size
 
 
-def test_distinguishable_workspace_holds_no_probability_buffer():
-    # distinguishable probabilities are the last coefficient buffer, so no
-    # probability buffer is made: one seed's peak is the coefficients and two
-    # gathers, about three (size,) float arrays, under 28 bytes per outcome
-    space = enumerate_configurations(30, 4)
-    statistics = ParticleStatistics.DISTINGUISHABLE
-    assert ScanWorkspace(space, statistics, 1).probs is None
-    u = haar_unitary_from_seed(30, 3)
-    full_distribution(u, space.configuration(1), statistics, space=space)  # builds the cached tables
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        full_distribution(u, space.configuration(2), statistics, space=space)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 28 * space.size
+@pytest.mark.parametrize("modes,photons", [(18, 4), (25, 3), (16, 2), (8, 5), (60, 4)])
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_scan_width_fills_the_byte_budget(modes, photons, statistics):
+    # a scan block is the widest that fits SCAN_BYTES, or one seed
+    space = enumerate_configurations(modes, photons)
+    width = scan_width(space, statistics)
+    assert width == 1 or ScanWorkspace(space, statistics, width).nbytes <= SCAN_BYTES
+    assert ScanWorkspace(space, statistics, width + 1).nbytes > SCAN_BYTES
+
+
+def test_scan_workspace_is_no_larger_than_sixteen_seeds_of_full_tables():
+    # 5,703,808 bytes: the 16-wide (18,4) boson workspace of the kernel that
+    # kept a degree-4 table and two degree-4 gathers; the blocked last degree
+    # fits 25 seeds in it
+    space = enumerate_configurations(18, 4)
+    width = scan_width(space, ParticleStatistics.BOSON)
+    assert width == 25 and ScanWorkspace(space, ParticleStatistics.BOSON, width).nbytes <= 5_703_808
+
+
+def test_no_route_builds_a_table_of_the_space():
+    # one (size, 4) intp table at (60,4) is 19 MB; what each route allocates
+    # beyond what it keeps (results, cached arrays) stays below that
+    # (`codes` builds Python lists only, and is slow to trace)
+    space = enumerate_configurations(60, 4)
+    table = space.size * space.photons * np.dtype(np.intp).itemsize
+    u = haar_unitary_from_seed(60, 2)
+    workspace = ScanWorkspace(space, ParticleStatistics.BOSON, 2)
+    routes = [
+        lambda: space.collision_free_indices,
+        lambda: space.factorial_products,
+        lambda: space.configuration(space.size - 1),
+        lambda: _batch_probabilities(u.matrix, [3, space.size - 1], space, workspace=workspace,
+                                     statistics=ParticleStatistics.BOSON),
+    ]
+    seed = space.configuration(int(space.collision_free_indices[-1]))
+    routes += [lambda s=s: full_distribution(u, seed, s, space=space) for s in ParticleStatistics]
+    for route in routes:
+        tracemalloc.start()
+        try:
+            route()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < table
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(space).values())
+
+
+def _digest(probs):
+    return hashlib.sha256(np.ascontiguousarray(probs, dtype="<f8").tobytes()).hexdigest()
+
+
+# Recorded from the kernel that gathered every degree through full step
+# tables; the blocked last degree keeps every bit.
+PINNED_DIGESTS = {
+    "boson": "1db70755a6cd4d7d36f2845a98a4a5bcfbc32f038c37fb23838936aea9b31857",
+    "fermion": "e241723cc5dc970edbe832a0e32a3120e65c45ac78e07bf3b9c49c44d6131551",
+    "distinguishable": "132974f6db5f93b1d1ac5f879930614b6366dfc287319daad1fcbbca4c4e4ce7",
+    "18x4 boson block": "ff261964b39513b4e7fb75fc7e04bc96b4114f071b7a14eb6ab541c31bc9a878",
+    "8x5 fermion block": "dc35263cc88f8bc5fc146f90f2d1f2e576e94e9a951f8d480b6182ee136b3e9c",
+    # a last degree of one entry, multiplied in place as the full tables did
+    "6x6 fermion": "1401c96fc091bc0d7b721812a2befd2f726be056ea53e785f58c73aa46e9c793",
+    "5x5 fermion exact bin masses": "251aca510a20c19790f965967cb364ed76f95907d61dac8923c39308d4affd69",
+}
+
+
+def test_kernel_bits_are_pinned():
+    wide = enumerate_configurations(60, 4)
+    u = haar_unitary_from_seed(60, 19)
+    seeds = {  # a bunched boson seed, a collision-free fermion seed, three photons in one mode
+        "boson": (0,) * 7 + (2,) + (0,) * 20 + (1,) + (0,) * 30 + (1,),
+        "fermion": (0,) * 3 + (1,) + (0,) * 10 + (1,) + (0,) * 25 + (1,) + (0,) * 18 + (1,),
+        "distinguishable": (0,) * 11 + (3,) + (0,) * 40 + (1,) + (0,) * 7,
+    }
+    got = {s: _digest(full_distribution(u, seed, s, space=wide).probabilities) for s, seed in seeds.items()}
+    space = enumerate_configurations(18, 4)
+    seeds = np.arange(1000, 1016)
+    block = _batch_probabilities(haar_unitary_from_seed(18, 5).matrix, seeds, space, ParticleStatistics.BOSON)
+    got["18x4 boson block"] = _digest(block)
+    space = enumerate_configurations(8, 5)
+    seeds = space.collision_free_indices[20:36]
+    block = _batch_probabilities(haar_unitary_from_seed(8, 6).matrix, seeds, space, ParticleStatistics.FERMION)
+    got["8x5 fermion block"] = _digest(block)
+    dist = full_distribution(haar_unitary_from_seed(6, 192), (1,) * 6, "fermion")
+    got["6x6 fermion"] = _digest(dist.probabilities)
+    masses = exact_bin_masses(haar_unitary_from_seed(5, 30), (1,) * 5, 7, "fermion")
+    got["5x5 fermion exact bin masses"] = _digest(masses)
+    assert got == PINNED_DIGESTS
 
 
 def test_kernel_checks_normalization_of_every_seed():

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bosonbin import distribution
 from bosonbin.binning import make_partition
-from bosonbin.distribution import SCAN_BLOCK, ParticleStatistics, full_distribution
+from bosonbin.distribution import ParticleStatistics, ScanWorkspace, full_distribution, scan_width
 from bosonbin.experiments import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
@@ -241,21 +242,24 @@ def test_scan_calls_the_kernel_through_the_experiments_module(monkeypatch):
 
     monkeypatch.setattr(experiments, "_batch_probabilities", counting)
     run_experiment(tiny_config("gap_fraction", threads=2))
-    size = enumerate_configurations(7, 3).size
+    space = enumerate_configurations(7, 3)
     per_unitary = {}
     for matrix, seeds in calls:
         per_unitary.setdefault(matrix, []).append(seeds)
     assert len(per_unitary) == 2
     for seeds in per_unitary.values():
-        assert len(seeds) == math.ceil(size / SCAN_BLOCK) and sum(seeds) == size
+        blocks = math.ceil(space.size / scan_width(space, ParticleStatistics.BOSON))
+        assert len(seeds) == blocks and sum(seeds) == space.size
 
 
 @pytest.mark.parametrize("statistics", list(ParticleStatistics))
-def test_mpb_scan_matches_single_seed_reductions(statistics):
-    # (8,5): 56 collision-free seeds (a partial last block of 8), and over
-    # sets the widest degree is not the last; two scans run in a row
+def test_mpb_scan_matches_single_seed_reductions(statistics, monkeypatch):
+    # (8,5): 56 collision-free seeds in blocks of 16 (a partial last block of
+    # 8), and over sets the widest degree is not the last; two scans run in a row
     u = haar_unitary_from_seed(8, 4)
     space = enumerate_configurations(8, 5)
+    monkeypatch.setattr(distribution, "SCAN_BYTES", 16 * ScanWorkspace(space, statistics, 1).nbytes)
+    assert scan_width(space, statistics) == 16
     fermion = statistics is ParticleStatistics.FERMION
     seeds = space.collision_free_indices if fermion else np.arange(0, space.size, 15)
     bins = (2, 3, 7)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -11,6 +13,7 @@ from bosonbin.fock import (
     ExpansionStep,
     FockSpace,
     _check_colex,
+    _colex_steps,
     _check_predecessors,
     collision_free_count,
     enumerate_configurations,
@@ -81,6 +84,7 @@ def test_codes_are_injective(modes, photons):
     space = enumerate_configurations(modes, photons)
     assert len(set(space.codes)) == space.size
     assert all(a < b for a, b in zip(space.codes, space.codes[1:]))
+    assert space.codes == [integer_code(c) for c in configurations(space)]
 
 
 def test_collision_free_partition(space_4_2):
@@ -145,18 +149,23 @@ def _code_order(modes, photons):
     [(m, n) for m in range(1, 9) for n in range(1, 7)] + [(3, 18)],
 )
 def test_mode_combos_follow_integer_code_order(modes, photons):
-    assert np.array_equal(enumerate_configurations(modes, photons).mode_combos, _code_order(modes, photons))
+    assert np.array_equal(enumerate_configurations(modes, photons).expansion.rows(), _code_order(modes, photons))
+
+
+def _tables(space, distinct):
+    return space.fermion_expansion if distinct else space.expansion
 
 
 @pytest.mark.parametrize("modes,photons", [(7, 4), (9, 3), (6, 6)])
 @pytest.mark.parametrize("distinct", [False, True])
 def test_step_tables(modes, photons, distinct):
     space = enumerate_configurations(modes, photons)
-    steps = space.fermion_steps if distinct else space.expansion_steps
+    tables = _tables(space, distinct)
+    assert len(tables.steps) == photons - 1  # the last degree has no table
     prev = np.zeros((1, 0), dtype=np.intp)  # degree 0: the empty row
-    for k, step in enumerate(steps, start=1):
+    for k, step in enumerate(tables.steps, start=1):
         degree = enumerate_configurations(modes, k)
-        rows = degree.mode_combos[degree.collision_free_indices] if distinct else degree.mode_combos
+        rows = degree.expansion.rows(degree.collision_free_indices) if distinct else degree.expansion.rows()
         assert np.array_equal(step.modes, rows)
         for p in range(k):
             repeat = step.modes[:, p] == step.modes[:, p - 1] if p else np.zeros(len(rows), bool)
@@ -164,17 +173,73 @@ def test_step_tables(modes, photons, distinct):
             assert np.array_equal(pred == len(prev), repeat)
             assert np.array_equal(prev[pred[~repeat]], np.delete(rows[~repeat], p, axis=1))
         prev = step.modes
+    _check_last_degree(space, distinct)
+
+
+def _colex_ranks(rows, distinct):
+    """Colex rank of every sorted row, from the combinatorial number system:
+    sum_j C(a_j + j, j + 1), or sum_j C(a_j, j + 1) over sets."""
+    ranks = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        top = rows[:, j].astype(np.int64) + (0 if distinct else j)
+        term = np.ones(len(rows), dtype=np.int64)
+        for i in range(j + 1):  # exact: after step i, term is C(top, i + 1)
+            term = term * (top - i) // (i + 1)
+        ranks += term
+    return ranks
+
+
+def _check_last_degree(space, distinct):
+    """The last degree's block layout against its definition and an
+    independent colex rank: each last-mode block lists its rows once, in
+    colex order, and each term's source row is that row with the term's
+    position removed (a zero weight where the position repeats a mode)."""
+    tables = _tables(space, distinct)
+    modes, photons = space.modes, space.photons
+    rows = tables.rows()
+    assert rows.shape == (math.comb(modes, photons) if distinct else space.size, photons)
+    _check_colex(rows, modes, distinct)
+    assert np.array_equal(_colex_ranks(rows, distinct), np.arange(len(rows)))
+    if distinct:
+        assert np.array_equal(rows, space.expansion.rows(space.collision_free_indices))
+    prev = tables.steps[-1].modes if tables.steps else np.zeros((1, 0), dtype=np.intp)
+    pred = tables.steps[-1].predecessors if tables.steps else tables.weight_rows
+    with_rows = [m for m in range(modes) if tables.starts[m + 1] > tables.starts[m]]
+    assert [block[0] for block in tables.blocks] == with_rows
+    for m, start, stop, below, weight_columns, pred_columns in tables.blocks:
+        block, count = rows[start:stop], stop - start
+        assert (block[:, -1] == m).all() and np.array_equal(block[:, :-1], prev[:count])
+        # position N - 1 reads the prefix row itself, where it does not end in m
+        ends_in_m = prev[:count, -1] == m if photons > 1 else np.zeros(count, bool)
+        assert np.array_equal(np.arange(count) < below, ~ends_in_m)
+        ending_in_m = prev[below:]
+        for p in range(photons - 1):
+            assert np.array_equal(weight_columns[p], tables.weight_rows[:count, p])
+            assert np.array_equal(pred_columns[p], pred[:count, p])
+            repeat = block[:, p] == block[:, p - 1] if p else np.zeros(count, bool)
+            assert np.array_equal(weight_columns[p] == modes, repeat)
+            assert np.array_equal(weight_columns[p][~repeat], block[~repeat, p])
+            source = ending_in_m[pred_columns[p][~repeat]]
+            assert np.array_equal(source, np.delete(block[~repeat], p, axis=1))
 
 
 @pytest.mark.parametrize("modes,photons", [(8, 5), (18, 4), (3, 6)])
 @pytest.mark.parametrize("distinct", [False, True])
 def test_step_table_columns_are_contiguous(modes, photons, distinct):
     # the kernel gathers with one column at a time; np.take copies a strided index array
-    space = enumerate_configurations(modes, photons)
-    for step in space.fermion_steps if distinct else space.expansion_steps:
+    tables = _tables(enumerate_configurations(modes, photons), distinct)
+    for step in tables.steps:
         for p in range(step.modes.shape[1]):
             assert step.modes[:, p].flags.c_contiguous
             assert step.predecessors[:, p].flags.c_contiguous
+    for *_, weight_columns, pred_columns in tables.blocks:
+        assert all(column.flags.c_contiguous for column in weight_columns + pred_columns)
+
+
+@pytest.mark.parametrize("modes,photons", [(60, 4), (18, 4), (8, 5), (3, 6), (9, 1), (7, 2)])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_last_degree_blocks(modes, photons, distinct):
+    _check_last_degree(enumerate_configurations(modes, photons), distinct)
 
 
 def _colex_rank(row, distinct):
@@ -186,16 +251,18 @@ def _colex_rank(row, distinct):
 @pytest.mark.parametrize("distinct", [False, True])
 def test_step_tables_at_benchmark_sizes(modes, photons, distinct):
     space = enumerate_configurations(modes, photons)
-    steps = space.fermion_steps if distinct else space.expansion_steps
+    tables = _tables(space, distinct)
     rng = rng_policy.generator(modes * 10 + photons)
     prev = np.zeros((1, 0), dtype=np.intp)
-    for k, step in enumerate(steps, start=1):
-        rows = step.modes
+    for k, step in enumerate([*tables.steps, None], start=1):
+        rows = step.modes if step else tables.rows()
         assert len(rows) == (math.comb(modes, k) if distinct else math.comb(modes + k - 1, k))
         sample = rng.choice(len(rows), size=min(1000, len(rows)), replace=False)
         assert [_colex_rank(rows[i], distinct) for i in sample] == sample.tolist()
         if k == photons and not distinct:
             assert [space.index_of(space.configuration(int(i))) for i in sample] == sample.tolist()
+        if step is None:  # the last degree's terms: _check_last_degree
+            break
         for i in sample:
             for p in range(k):
                 pred = step.predecessors[i, p]
@@ -205,7 +272,7 @@ def test_step_tables_at_benchmark_sizes(modes, photons, distinct):
                     assert np.array_equal(prev[pred], np.delete(rows[i], p))
         prev = rows
     if distinct:
-        assert np.array_equal(steps[-1].modes, space.mode_combos[space.collision_free_indices])
+        assert np.array_equal(tables.rows(), space.expansion.rows(space.collision_free_indices))
 
 
 def _swap(rows):
@@ -236,24 +303,62 @@ def _out_of_range(rows):
 @pytest.mark.parametrize("distinct", [False, True])
 def test_colex_check_refuses_a_corrupted_table(corrupt, distinct):
     space = enumerate_configurations(7, 3)
-    rows = space.fermion_steps[-1].modes if distinct else space.mode_combos
-    _check_colex(rows, 7, distinct)
-    with pytest.raises(RuntimeError, match="colex"):
-        _check_colex(corrupt(rows.copy()), 7, distinct)
+    for rows in (_tables(space, distinct).steps[-1].modes, _tables(space, distinct).rows()):
+        _check_colex(rows, 7, distinct)
+        with pytest.raises(RuntimeError, match="colex"):
+            _check_colex(corrupt(rows.copy()), 7, distinct)
 
 
-@pytest.mark.parametrize("past_zero_row", [False, True])
+def _past_zero_row(tables):
+    pred = tables.steps[-1].predecessors.copy(order="F")
+    pred[4, 1] = len(tables.steps[-2].modes) + 1
+    return pred, tables.weight_rows, "predecessors outside rows"
+
+
+def _negative(tables):
+    pred = tables.steps[-1].predecessors.copy(order="F")
+    pred[4, 1] = -1
+    return pred, tables.weight_rows, "predecessors outside rows"
+
+
+def _outside_last_mode(tables):
+    # a row of the degree below, but not one that ends in the block's last
+    # mode: prefix row 4 is first read by the block of mode 2 (mode 4 over
+    # sets), which has 3 (4) such rows to offset into
+    pred = tables.steps[-1].predecessors.copy(order="F")
+    pred[4, 0] = 5
+    return pred, tables.weight_rows, "outside the rows of their last mode"
+
+
+def _weight_past_zero_row(tables):
+    weights = tables.weight_rows.copy(order="F")
+    weights[4, 1] = tables.modes + 1
+    return tables.steps[-1].predecessors, weights, "outside the rows of their last mode"
+
+
+@pytest.mark.parametrize("corrupt", [_past_zero_row, _negative, _outside_last_mode, _weight_past_zero_row])
 @pytest.mark.parametrize("distinct", [False, True])
-def test_predecessor_check_refuses_rows_outside_the_degree_below(past_zero_row, distinct):
+def test_predecessor_check_refuses_rows_outside_the_degree_below(corrupt, distinct):
     # the kernel gathers predecessors with clipped indices, so this check is what catches them
-    space = enumerate_configurations(7, 3)
-    steps = list(space.fermion_steps if distinct else space.expansion_steps)
-    _check_predecessors(steps)
-    pred = steps[2].predecessors.copy()
-    pred[4, 1] = len(steps[1].modes) + 1 if past_zero_row else -1
-    steps[2] = ExpansionStep(steps[2].modes, pred)
-    with pytest.raises(RuntimeError, match="predecessors outside"):
-        _check_predecessors(steps)
+    tables = _tables(enumerate_configurations(7, 3), distinct)
+    _check_predecessors(tables)
+    pred, weights, message = corrupt(tables)
+    steps = (*tables.steps[:-1], ExpansionStep(tables.steps[-1].modes, pred))
+    with pytest.raises(RuntimeError, match=message):
+        _check_predecessors(dataclasses.replace(tables, steps=steps, weight_rows=weights))
+
+
+def test_enumeration_builds_no_table_of_the_space():
+    # one (size, 4) intp table at (60,4) is 19 MB; the tables of degrees
+    # 1..3 and the block layout take 3.6 MB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space = enumerate_configurations(60, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < space.size * 4 * np.dtype(np.intp).itemsize
 
 
 def test_occupations_array(space_4_2):
@@ -266,7 +371,7 @@ def test_occupations_array(space_4_2):
 def test_mode_combos_reconstruct_occupations(space_11_3):
     # each row lists the photon positions; scattering them back must
     # reproduce the occupation table
-    combos = space_11_3.mode_combos
+    combos = space_11_3.expansion.rows()
     assert combos.shape == (space_11_3.size, 3)
     rebuilt = np.zeros((space_11_3.size, 11), dtype=np.uint8)
     for p in range(3):
@@ -298,9 +403,11 @@ def test_mode_combos_readers_match_occupations(modes, photons):
     assert np.array_equal(space.collision_free_indices, np.nonzero((occ <= 1).all(axis=1))[0])
 
 
-def test_factorial_products(space_4_2):
-    expected = [math.prod(math.factorial(t) for t in c) for c in configurations(space_4_2)]
-    assert space_4_2.factorial_products.tolist() == expected
+@pytest.mark.parametrize("modes,photons", [(4, 2), (5, 1), (3, 6), (7, 7), (11, 3)])
+def test_factorial_products(modes, photons):
+    space = enumerate_configurations(modes, photons)
+    expected = [math.prod(math.factorial(t) for t in c) for c in configurations(space)]
+    assert space.factorial_products.tolist() == expected
 
 
 def test_format_parse_round_trip():

@@ -69,13 +69,13 @@ def test_permanent_of_permutation_matrix():
 
 
 @pytest.mark.parametrize("fermion", [False, True])
-@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (7, 4)])
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (7, 4), (5, 1), (5, 5)])
 def test_expand_gives_every_minor(n, k, fermion, random_complex):
     # one call gives Per (det with fermion) of g[rows, cols] for all k-subsets
     g = random_complex(n)
-    steps = _colex_steps(n, k, distinct=True)
-    subsets = steps[-1].modes
-    table = _expand(g, subsets, steps, fermion=fermion)
+    tables = _colex_steps(n, k, distinct=True)
+    subsets = tables.rows()
+    table = _expand(g, subsets, tables, fermion=fermion)
     oracle = determinant if fermion else permanent_ryser
     for i, rows in enumerate(subsets):
         for j, cols in enumerate(subsets):
@@ -84,9 +84,9 @@ def test_expand_gives_every_minor(n, k, fermion, random_complex):
 
 def test_expand_refuses_tables_over_more_modes_than_the_weights(random_complex):
     # the kernel's gathers clip their indices, so a missing row must be refused up front
-    steps = _colex_steps(5, 2, distinct=False)
+    tables = _colex_steps(5, 2, distinct=False)
     with pytest.raises(ValueError, match="5 modes, weights over 4"):
-        _expand(random_complex(4), steps[-1].modes[:3], steps)
+        _expand(random_complex(4), tables.rows([0, 1, 2]), tables)
 
 
 def test_permanent_dimension_guards(random_complex):
