@@ -20,6 +20,7 @@ import numpy as np
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     ColexTables,
+    ExpansionStep,
     FockSpace,
     enumerate_configurations,
     format_configuration,
@@ -32,14 +33,14 @@ from .linalg import _as_matrix, determinant, permanent_ryser, submatrix
 NORMALIZATION_GUARD = 1e-6
 # Bytes of one scan thread's workspace: what 16 seeds of the (18,4) boson
 # kernel took while the last degree had tables. A scan block takes as many
-# seeds as fit (`scan_width`), 25 at (18,4). The last degree makes about 3.5 N
-# numpy calls per mode and block whatever the block's width, so narrow blocks
-# of small spaces are mostly call overhead. On a 2-vCPU Xeon host, against
-# the full-table kernel at 16 seeds: the two-thread (18,4) scan was 8% slower
-# at 20 seeds, level at 24 and 5% faster at 25 (medians of 8 runs), and the
-# `collision` experiment ((16,2) to (25,3), three statistics) was 9% slower
-# at 25 seeds and 8% faster at this budget's 62 to 2,096 seeds (0.945 s
-# against 0.869 s, medians of 8 runs).
+# seeds as fit (`scan_width`), 25 at (18,4). Each blocked mode of the last
+# degree makes 3 N - 2 numpy calls per block whatever the block's width, so
+# narrow blocks of small spaces are mostly call overhead. (With every mode
+# blocked, on a 2-vCPU Xeon host against the full-table kernel at 16 seeds,
+# the two-thread (18,4) scan was 8% slower at 20 seeds and 5% faster at 25,
+# and the `collision` experiment ((16,2) to (25,3), three statistics) was 9%
+# slower at 25 seeds and 8% faster at this budget's 62 to 2,096 seeds;
+# medians of 8 runs.)
 SCAN_BYTES = 5_703_808
 
 
@@ -71,26 +72,30 @@ class ScanWorkspace:
     views and leaves its probabilities in a C-contiguous (b, size) one.
 
     No buffer holds a (size, N) index table or a gather of the last degree:
-    that degree is built one last mode at a time (`_expand`), so the gathers
-    span only the widest lower degree. Per outcome and seed of width that is
-    the last coefficients (16 bytes, 8 for distinguishable particles) and
-    the probabilities (8 bytes), plus the lower degrees: at (18,4) a boson
-    workspace takes 220 KB per seed of width (the full-table kernel's took
-    356 KB), so one scan thread holds 5.5 MB at its 25 seeds; at (60,4) one
-    seed's takes 28 bytes per outcome for bosons, 25 for fermions and 18
-    for distinguishable particles (57, 48 and 25 with full tables).
+    that degree is built one last mode at a time past its head (`_expand`),
+    so the two gathers hold every position of the widest tabled degree.
+    The gathers are spent before a probability is written, so the
+    probabilities (8 bytes per outcome and seed) share the first. Per
+    outcome and seed of width that leaves the last coefficients (16 bytes, 8
+    for distinguishable particles) and the larger of the probabilities and
+    a gather, plus the lower degrees: at (18,4) a boson workspace takes 227
+    KB per seed of width (the full-table kernel's took 356 KB), so one scan
+    thread holds 5.7 MB at its 25 seeds; at (60,4) one seed's takes 28
+    bytes per outcome for bosons, 25 for fermions and 18 for distinguishable
+    particles (57, 48 and 25 with full tables).
     """
 
     def __init__(self, space: FockSpace, statistics: ParticleStatistics, width: int):
         fermion = statistics is ParticleStatistics.FERMION
         dtype = np.float64 if statistics is ParticleStatistics.DISTINGUISHABLE else np.complex128
         tables = space.fermion_expansion if fermion else space.expansion
-        self.coefs, self.gathers = _expansion_buffers(tables, width, dtype)
-        self.probs = np.empty(space.size * width)
+        self.coefs, self.gathers = _expansion_buffers(tables, width, dtype, space.size * width)
+        # the gathers are spent before a probability is written
+        self.probs = self.gathers[0].view(np.float64)[: space.size * width]
 
     @property
     def nbytes(self) -> int:
-        return sum(b.nbytes for b in (*self.coefs, *self.gathers, self.probs))
+        return sum(b.nbytes for b in (*self.coefs, *self.gathers))
 
 
 def scan_width(space: FockSpace, statistics: ParticleStatistics) -> int:
@@ -100,18 +105,73 @@ def scan_width(space: FockSpace, statistics: ParticleStatistics) -> int:
     return max(1, SCAN_BYTES // ScanWorkspace(space, statistics, 1).nbytes)
 
 
-def _expansion_buffers(tables: ColexTables, width: int, dtype: np.dtype) -> tuple:
+def _expansion_buffers(tables: ColexTables, width: int, dtype: np.dtype, probs: int = 0) -> tuple:
     """`_expand`'s flat buffers: each degree's coefficients, with a zero row
-    after every degree but the last, and three gathers as wide as the widest
-    lower degree (every last-mode block of the last degree fits in them)."""
+    after every degree but the last, and two gathers that hold every
+    position of the widest tabled degree (so also every prefix position of
+    the degree-(N - 1) rows); the first also holds `probs` float64 values."""
     rows = [len(step.modes) + 1 for step in tables.steps] + [tables.size]
-    widest = max(rows[:-1], default=1) * width
-    return [np.empty(r * width, dtype) for r in rows], tuple(np.empty(widest, dtype) for _ in range(3))
+    widest = max([step.modes.size for step in (*tables.steps, tables.head)], default=1) * width
+    first = max(widest, -(-probs * 8 // np.dtype(dtype).itemsize))
+    return [np.empty(r * width, dtype) for r in rows], (np.empty(first, dtype), np.empty(widest, dtype))
 
 
 def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) view of the start of a flat buffer."""
     return buffer[: rows * cols].reshape(rows, cols)
+
+
+def _view3(buffer: np.ndarray, positions: int, rows: int, cols: int) -> np.ndarray:
+    """(positions, rows, cols) view of the start of a flat buffer."""
+    return buffer[: positions * rows * cols].reshape(positions, rows, cols)
+
+
+def _step(
+    w: np.ndarray,
+    prev: np.ndarray,
+    step: ExpansionStep,
+    gathers: tuple,
+    acc: np.ndarray,
+    fermion: bool,
+    single: bool = False,
+) -> None:
+    """acc = the coefficients of a step's rows: each position p takes the
+    weight of its mode (w) times the coefficient of its predecessor (prev)."""
+    rows, k = step.modes.shape
+    a, b = (_view3(g, k, rows, acc.shape[1]) for g in gathers)
+    for p in range(k):
+        # the tables are checked once per space (fock._check_predecessors), so no bounds check here
+        w.take(step.modes[:, p], axis=0, out=a[p], mode="clip")
+        prev.take(step.predecessors[:, p], axis=0, out=b[p], mode="clip")
+    if fermion:
+        _laplace_signs(a, k)
+    _add_products(a, b, acc, single)
+
+
+def _laplace_signs(a: np.ndarray, k: int) -> None:
+    """Negate, in place, the weights of the positions p of a degree-k step
+    whose Laplace sign (-1)^(k-1-p) is negative. (-x) * y rounds to
+    -(x * y), and s + (-x) * y to s - x * y, so no coefficient changes a bit."""
+    np.negative(a[k % 2 :: 2], out=a[k % 2 :: 2])
+
+
+def _add_products(a: np.ndarray, b: np.ndarray, acc: np.ndarray, single: bool = False) -> None:
+    """acc = sum over positions p of a[p] * b[p], added in order of p, for
+    (positions, rows, block) gathers a and b; b is overwritten.
+
+    Each product goes to the slot of b that the one before it has spent:
+    numpy rounds a one-element complex product without FMA when `out` is an
+    input, so only where the full-table kernel multiplied one-element
+    columns in place (`single`: a last degree of one entry, which is sets of
+    N = M modes in one column) are they multiplied in place. (Elsewhere a
+    one-element column is one of M = 1 mode, whose later positions all
+    repeat and multiply zeros.)
+    """
+    np.multiply(a[0], b[0], out=acc)
+    for p in range(1, len(a)):
+        product = b[p] if single else b[p - 1]
+        np.multiply(a[p], b[p], out=product)
+        np.add(acc, product, out=acc)
 
 
 def _expand(
@@ -131,22 +191,29 @@ def _expand(
     position p of a degree-k row carries the Laplace sign (-1)^(k-1-p), so
     over rows of distinct modes the coefficient is det(weights[r, c]).
 
-    Degrees below N gather through their step tables. Degree N has none: it
-    is built one last mode m at a time, from the degree-(N - 1) prefix rows
-    i of that block (`fock.ColexTables`). Position N - 1 takes weights[m]
-    times row i itself, for the rows i < below[m] that do not end in m.
-    Position p < N - 1 takes row i's predecessor through the degree-(N - 1)
-    index column p, offset to the rows that end in m, and a zero weight
-    where it repeats a mode. Every product is written to a buffer that is
-    neither of its inputs: numpy rounds a one-element complex product
-    without FMA when `out` is an input, so a one-row block computed in place
-    would not keep the bits of the full-table kernel. That kernel did
-    multiply in place, so a last degree of one entry (sets of N = M modes,
-    one column) still does.
+    Degrees below N, and the head of degree N (its rows that end in the
+    first modes), gather through their tables: every position's weights and
+    predecessors, one column each, then the products are summed in order of
+    position. The rest of degree N is built one last mode m at a time, from
+    the degree-(N - 1) prefix rows i of that block (`fock.ColexTables`).
+    Position N - 1 takes weights[m] times row i itself, for the rows
+    i < below[m] that do not end in m. Position p < N - 1 takes row i's
+    predecessor through the degree-(N - 1) index column p, offset to the
+    rows that end in m, and a zero weight where it repeats a mode; those
+    weights are the first rows of one gather for every block. Each product
+    goes to a buffer that is not its input (`_add_products`), except where
+    the full-table kernel multiplied one-element columns in place, so every
+    coefficient keeps that kernel's bits.
+
+    Calls, not arithmetic, bound narrow blocks: at (18,4) the head takes
+    modes 0-9 and leaves 8 blocked modes of 3 N - 2 calls each, so a block
+    of seeds makes 121 numpy calls that compute (255 when all 18 modes
+    were blocked, at 4 N - 2 calls each). Fewer, longer calls also mean fewer
+    hand-offs of the GIL between scan threads.
 
     No (size, N) index table exists, and no buffer spans the last degree but
     its coefficients: one (60,4) boson seed runs in 28 bytes per outcome, one
-    (18,4) scan thread in 220 KB per seed of width (`ScanWorkspace`).
+    (18,4) scan thread in 227 KB per seed of width (`ScanWorkspace`).
 
     The steps run into `workspace`'s buffers, or ones sized for this call,
     and the result is a view of them. Each column is computed on its own by
@@ -161,58 +228,45 @@ def _expand(
         coefs, gathers = _expansion_buffers(tables, block, weights.dtype)
     else:
         coefs, gathers = workspace.coefs, workspace.gathers
-    a_buf, b_buf, c_buf = gathers
+    a_buf, b_buf = gathers
     prev = np.zeros((2, block), dtype=weights.dtype)  # degree 0 and its zero row
     prev[0] = 1
     for k, step in enumerate(tables.steps, start=1):
         rows = len(step.modes)
-        w = weights[:, columns[:, k - 1]]
         # a zero row after the degree: the next one gathers it for repeated modes
         coef = _view(coefs[k - 1], rows + 1, block)
         coef[rows:] = 0
-        acc = coef[:rows]
-        a, b = _view(a_buf, rows, block), _view(b_buf, rows, block)
-        for p in range(k):
-            # the tables are checked once per space (fock._check_predecessors), so no bounds check here
-            np.take(w, step.modes[:, p], axis=0, out=a, mode="clip")
-            np.take(prev, step.predecessors[:, p], axis=0, out=b, mode="clip")
-            negate = fermion and (k - 1 - p) % 2 == 1
-            if p == 0:
-                np.multiply(a, b, out=acc)
-                if negate:
-                    np.negative(acc, out=acc)
-            else:
-                np.multiply(a, b, out=a)
-                (np.subtract if negate else np.add)(acc, a, out=acc)
+        _step(weights[:, columns[:, k - 1]], prev, step, gathers, coef[:rows], fermion)
         prev = coef
-    # degree N, one last mode at a time
+    # degree N: the rows of the first last modes through their table, then one block per last mode
     k = len(tables.steps) + 1
+    positions = k - 1  # the prefix positions; position N - 1 is the last mode itself
     w = np.zeros((modes + 1, block), dtype=weights.dtype)  # row M weighs repeated positions
     w[:modes] = weights[:modes, columns[:, k - 1]]
     out = _view(coefs[-1], tables.size, block)
-    product = a_buf if out.size == 1 else c_buf
-    for m, start, stop, below, weight_columns, pred_columns in tables.blocks:
+    # a last degree of one entry (sets of N = M modes) is all head
+    _step(w, prev, tables.head, gathers, out[: len(tables.head.modes)], fermion, single=out.size == 1)
+    # every prefix position's weight for all degree-(N - 1) rows at once: a
+    # block's weights are their first rows, whatever its last mode
+    a = _view3(a_buf, positions, len(tables.weight_rows), block)
+    for p in range(positions):
+        w.take(tables.weight_rows[:, p], axis=0, out=a[p], mode="clip")
+    if fermion:
+        _laplace_signs(a, k)
+    for m, start, stop, below, preds in tables.blocks:
         count = stop - start
         acc = out[start:stop]
-        ending_in_m = prev[below:]  # the degree-(N - 1) rows that end in m come first
-        a, b, c = (_view(g, count, block) for g in (a_buf, b_buf, product))
-        for p, (weight_column, pred_column) in enumerate(zip(weight_columns, pred_columns)):
-            w.take(weight_column, axis=0, out=a, mode="clip")
-            ending_in_m.take(pred_column, axis=0, out=b, mode="clip")
-            negate = fermion and (k - 1 - p) % 2 == 1
-            if p == 0:
-                np.multiply(a, b, out=acc)
-                if negate:
-                    np.negative(acc, out=acc)
-            else:
-                np.multiply(a, b, out=c)
-                (np.subtract if negate else np.add)(acc, c, out=acc)
+        if positions:
+            b = _view3(b_buf, positions, count, block)
+            for p, pred in enumerate(preds):
+                # the degree-(N - 1) rows that end in m come first
+                prev[below:].take(pred, axis=0, out=b[p], mode="clip")
+            _add_products(a[:, :count], b, acc)
         if k == 1:
             np.multiply(w[m : m + 1], prev[:count], out=acc)
         elif below:
-            a[:below] = w[m]
-            np.multiply(a[:below], prev[:below], out=c[:below])
-            np.add(acc[:below], c[:below], out=acc[:below])
+            tail = np.multiply(w[m : m + 1], prev[:below], out=_view(b_buf, below, block))
+            np.add(acc[:below], tail, out=acc[:below])
     return out
 
 

@@ -11,11 +11,13 @@ That order is the colex order of the sorted photon mode lists a (rank
 carries, and codes compare occupations from the last mode down. One
 recursive pass builds the rows of every photon count below N and their
 predecessors; the N-photon rows are those rows followed by one last mode,
-so they are laid out in one block per last mode and never tabulated.
+so they are laid out in one block per last mode, and only the narrow
+blocks of the first modes are tabulated, no larger than the rows below N.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -134,14 +136,16 @@ def parse_configuration(text: str) -> tuple[int, ...]:
 class FockSpace:
     """All configurations of a (modes, photons) pair in canonical code order.
 
-    No (size, photons) table exists. `expansion` keeps full tables for
-    photon counts 1..N - 1 only; the configurations are its last degree,
-    laid out in one block per last mode (`ColexTables`), and each
-    per-configuration array below is built block by block from binomials.
-    At (60,4) the space keeps 2.8 MB (under 5 bytes per configuration) and
-    peaks at 4.8 MB while it is built; one (size, 4) index table is 19 MB.
-    The kernel then needs 28 bytes per outcome for one boson seed and 220 KB
-    per seed of width at (18,4), 5.5 MB for one scan thread's 25 seeds
+    No table spans the space once it outgrows the (N - 1)-photon rows.
+    `expansion` keeps full tables for photon counts 1..N - 1 only; the
+    configurations are its last degree, laid out in one block per last mode
+    (`ColexTables`; only its head, the rows of the first modes, is tabled),
+    and each per-configuration array below is built block by block from
+    binomials.
+    At (60,4) the space keeps 4.5 MB (under 8 bytes per configuration) and
+    peaks at 7.4 MB while it is built; one (size, 4) index table is 19 MB.
+    The kernel then needs 28 bytes per outcome for one boson seed and 227 KB
+    per seed of width at (18,4), 5.7 MB for one scan thread's 25 seeds
     (`distribution.ScanWorkspace`).
 
     Attributes:
@@ -245,7 +249,8 @@ class FockSpace:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionStep:
-    """Degree k of the expansion of a product of linear forms, 1 <= k < N.
+    """Degree k of the expansion of a product of linear forms, 1 <= k < N,
+    or the first rows of degree N (`ColexTables.head`).
 
     Attributes:
         modes: (size_k, k) sorted photon modes of each degree-k row.
@@ -272,12 +277,20 @@ class ColexTables:
     end in mode m are rows starts[m]:starts[m + 1], and row starts[m] + i is
     the degree-(N - 1) row i followed by m. Those prefix rows are the ones
     with every mode <= m (< m over sets); the first below[m] of them have
-    every mode < m. No (size, N) table exists: the last degree costs only
+    every mode < m. The blocks of the first modes are narrow (one row for
+    the first mode with any), and building them one by one would be mostly
+    numpy call overhead, so they are tabled together as the `head`, in no
+    more entries than the degree-(N - 1) table. No table is larger, so none
+    spans a space larger than that: the rest of the last degree costs only
     the (size_{N-1}, N - 1) `weight_rows`.
 
     Attributes:
         modes: mode count M.
         steps: `ExpansionStep` of degrees 1..N - 1.
+        head: `ExpansionStep` of the degree-N rows before starts[m], for
+            the largest m with starts[m] <= size_{N-1} (N - 1) / N, so its
+            gathers are no wider than those of degree N - 1 (at (18,4), 715
+            of 5,985 rows, modes 0-9).
         below: below[m], m = 0..M, is the number of degree-(N - 1) rows with
             every mode < m; the degree-(N - 1) rows that end in m are rows
             below[m]:below[m + 1].
@@ -290,6 +303,7 @@ class ColexTables:
 
     modes: int
     steps: tuple[ExpansionStep, ...]
+    head: ExpansionStep
     below: tuple[int, ...]
     starts: tuple[int, ...]
     weight_rows: np.ndarray
@@ -299,17 +313,18 @@ class ColexTables:
         return self.starts[-1]
 
     @cached_property
-    def blocks(self) -> list[tuple[int, int, int, int, list[np.ndarray], list[np.ndarray]]]:
-        """(m, start, stop, below[m], weight columns, predecessor columns) of
-        each last mode m with rows, the degree-(N - 1) index columns cut to
-        the block's prefix rows once, so the kernel slices none per call."""
+    def blocks(self) -> list[tuple[int, int, int, int, list[np.ndarray]]]:
+        """(m, start, stop, below[m], predecessor columns) of each last mode m
+        with rows, the degree-(N - 1) predecessor columns cut to the block's
+        prefix rows once, so the kernel slices none per call. (The weights of
+        a block's prefix rows are the first rows of `weight_rows`, whatever
+        its mode, so the kernel gathers them once for every block.)"""
         pred = self.steps[-1].predecessors if self.steps else self.weight_rows
         blocks = []
         for m in range(self.modes):
             start, stop = self.starts[m], self.starts[m + 1]
-            if stop > start:
-                weights, preds = (list(table[: stop - start].T) for table in (self.weight_rows, pred))
-                blocks.append((m, start, stop, self.below[m], weights, preds))
+            if stop > start and start >= len(self.head.modes):
+                blocks.append((m, start, stop, self.below[m], list(pred[: stop - start].T)))
         return blocks
 
     def rows(self, indices: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
@@ -333,6 +348,28 @@ def _last_mode_blocks(modes: int, k: int, distinct: bool) -> tuple[list[int], li
     return below, list(accumulate(below[:-1] if distinct else below[1:], initial=0))
 
 
+def _next_degree(
+    prev: np.ndarray, prev_raw: np.ndarray, below: list[int], starts: list[int], stop: int, distinct: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the degree after `prev` that end in a mode below `stop`,
+    their predecessors without and with the zero row for repeats (see
+    `_colex_steps`), each (rows, k) and column-major."""
+    rows = np.empty((starts[stop], prev.shape[1] + 1), dtype=np.intp, order="F")
+    raw = np.empty_like(rows)
+    for m in range(stop):
+        block = slice(starts[m], starts[m + 1])
+        count = block.stop - block.start
+        rows[block, :-1] = prev[:count]
+        rows[block, -1] = m
+        np.add(prev_raw[:count], below[m], out=raw[block, :-1])
+        raw[block, -1] = np.arange(count)
+    pred = raw
+    if not distinct:  # a position that repeats the one before it takes the zero row
+        pred = raw.copy(order="F")
+        np.copyto(pred[:, 1:], len(prev), where=rows[:, 1:] == rows[:, :-1])
+    return rows, raw, pred
+
+
 def _colex_steps(modes: int, photons: int, distinct: bool) -> ColexTables:
     """Tables for degrees 1..photons - 1 and the block layout of degree
     `photons`; degree k lists every sorted k-photon row (of distinct modes if
@@ -343,35 +380,27 @@ def _colex_steps(modes: int, photons: int, distinct: bool) -> ColexTables:
     position such a row is its prefix row i. Without position p < k - 1 it
     is the degree-(k - 2) row raw[i, p] followed by m, which sits below[m]
     rows further down the degree-(k - 1) table. The kernel builds the last
-    degree the same way, one last mode at a time, so it needs no table of it:
-    no (size, N) table exists, and at (60,4) the tables keep 2.8 MB where
-    one (size, 4) table takes 19 MB.
+    degree the same way, one last mode at a time past the `head`, so it
+    needs no full table of it: at (60,4) the tables keep 4.5 MB, 1.8 MB of
+    them the head's 27,405 rows, where one (size, 4) table takes 19 MB.
     """
     rows = raw = np.zeros((1, 0), dtype=np.intp)  # degree 0 is the empty row
     steps = []
     for k in range(1, photons):
         below, starts = _last_mode_blocks(modes, k, distinct)
-        prev, prev_raw = rows, raw
-        rows = np.empty((starts[-1], k), dtype=np.intp, order="F")
-        raw = np.empty_like(rows)
-        for m in range(modes):
-            block = slice(starts[m], starts[m + 1])
-            count = block.stop - block.start
-            rows[block, :-1] = prev[:count]
-            rows[block, -1] = m
-            np.add(prev_raw[:count], below[m], out=raw[block, :-1])
-            raw[block, -1] = np.arange(count)
-        pred = raw
-        if not distinct:  # a position that repeats the one before it takes the zero row
-            pred = raw.copy(order="F")
-            np.copyto(pred[:, 1:], len(prev), where=rows[:, 1:] == rows[:, :-1])
+        rows, raw, pred = _next_degree(rows, raw, below, starts, modes, distinct)
         steps.append(ExpansionStep(rows, pred))
+    below, starts = _last_mode_blocks(modes, photons, distinct)
+    # the first last modes, whose blocks are narrow, as one table no larger than degree N - 1's
+    head_modes = bisect_right(starts, rows.size // photons) - 1
+    head, _, head_pred = _next_degree(rows, raw, below, starts, head_modes, distinct)
     weight_rows = rows
     if not distinct:  # as a degree-N prefix, a repeated position weighs the zero row M
         weight_rows = rows.copy(order="F")
         np.copyto(weight_rows[:, 1:], modes, where=rows[:, 1:] == rows[:, :-1])
-    below, starts = _last_mode_blocks(modes, photons, distinct)
-    tables = ColexTables(modes, tuple(steps), tuple(below), tuple(starts), weight_rows)
+    tables = ColexTables(
+        modes, tuple(steps), ExpansionStep(head, head_pred), tuple(below), tuple(starts), weight_rows
+    )
     _check_colex(rows, modes, distinct)
     _check_predecessors(tables)
     return tables
@@ -397,13 +426,14 @@ def _check_predecessors(tables: ColexTables) -> None:
     below it. The kernel gathers with clipped indices, which would read a
     wrong row instead of failing.
 
-    Up to degree N - 1 a predecessor is a degree-(k - 1) row or the zero row
-    one past them. Degree-N block m reads the degree-(N - 1) rows that end in
-    m, so a prefix row's predecessor, for each position that weighs a mode,
-    must stay below their count in the first block that reads the row.
+    Up to degree N - 1, and in the head of degree N, a predecessor is a
+    degree-(k - 1) row or the zero row one past them. Degree-N block m
+    reads the degree-(N - 1) rows that end in m, so a prefix row's
+    predecessor, for each position that weighs a mode, must stay below
+    their count in the first block that reads the row.
     """
     prev_rows = 1  # degree 0 is the empty row
-    for step in tables.steps:
+    for step in (*tables.steps, tables.head):
         pred = step.predecessors
         if pred.size and not (pred.min() >= 0 and pred.max() <= prev_rows):
             raise RuntimeError(f"degree-{pred.shape[1]} predecessors outside rows 0..{prev_rows}")

@@ -396,6 +396,9 @@ PINNED_DIGESTS = {
     # a last degree of one entry, multiplied in place as the full tables did
     "6x6 fermion": "1401c96fc091bc0d7b721812a2befd2f726be056ea53e785f58c73aa46e9c793",
     "5x5 fermion exact bin masses": "251aca510a20c19790f965967cb364ed76f95907d61dac8923c39308d4affd69",
+    # a head of one row: its one-element products are made out of place, as
+    # the full tables made them in longer arrays
+    "4x2 fermion": "4d7c5acd6094da8654093c6661c4a9fcdf1975bc4a089777c33fe877836c3d94",
 }
 
 
@@ -420,6 +423,8 @@ def test_kernel_bits_are_pinned():
     got["6x6 fermion"] = _digest(dist.probabilities)
     masses = exact_bin_masses(haar_unitary_from_seed(5, 30), (1,) * 5, 7, "fermion")
     got["5x5 fermion exact bin masses"] = _digest(masses)
+    dist = full_distribution(haar_unitary_from_seed(4, 1), (1, 1, 0, 0), "fermion")
+    got["4x2 fermion"] = _digest(dist.probabilities)
     assert got == PINNED_DIGESTS
 
 

@@ -161,19 +161,26 @@ def _tables(space, distinct):
 def test_step_tables(modes, photons, distinct):
     space = enumerate_configurations(modes, photons)
     tables = _tables(space, distinct)
-    assert len(tables.steps) == photons - 1  # the last degree has no table
+    assert len(tables.steps) == photons - 1  # the last degree has no full table
     prev = np.zeros((1, 0), dtype=np.intp)  # degree 0: the empty row
     for k, step in enumerate(tables.steps, start=1):
         degree = enumerate_configurations(modes, k)
         rows = degree.expansion.rows(degree.collision_free_indices) if distinct else degree.expansion.rows()
         assert np.array_equal(step.modes, rows)
-        for p in range(k):
-            repeat = step.modes[:, p] == step.modes[:, p - 1] if p else np.zeros(len(rows), bool)
-            pred = step.predecessors[:, p]
-            assert np.array_equal(pred == len(prev), repeat)
-            assert np.array_equal(prev[pred[~repeat]], np.delete(rows[~repeat], p, axis=1))
+        _check_terms(step, prev)
         prev = step.modes
     _check_last_degree(space, distinct)
+
+
+def _check_terms(step, prev):
+    """Each term of a tabled degree reads its row with the term's position
+    removed, or the zero row after `prev` where the position repeats a mode."""
+    rows = step.modes
+    for p in range(rows.shape[1]):
+        repeat = rows[:, p] == rows[:, p - 1] if p else np.zeros(len(rows), bool)
+        pred = step.predecessors[:, p]
+        assert np.array_equal(pred == len(prev), repeat)
+        assert np.array_equal(prev[pred[~repeat]], np.delete(rows[~repeat], p, axis=1))
 
 
 def _colex_ranks(rows, distinct):
@@ -190,10 +197,11 @@ def _colex_ranks(rows, distinct):
 
 
 def _check_last_degree(space, distinct):
-    """The last degree's block layout against its definition and an
-    independent colex rank: each last-mode block lists its rows once, in
-    colex order, and each term's source row is that row with the term's
-    position removed (a zero weight where the position repeats a mode)."""
+    """The last degree's layout against its definition and an independent
+    colex rank: the head table and then each last-mode block list every row
+    once, in colex order, and each term's source row is that row with the
+    term's position removed (a zero row or weight where the position repeats
+    a mode)."""
     tables = _tables(space, distinct)
     modes, photons = space.modes, space.photons
     rows = tables.rows()
@@ -204,9 +212,18 @@ def _check_last_degree(space, distinct):
         assert np.array_equal(rows, space.expansion.rows(space.collision_free_indices))
     prev = tables.steps[-1].modes if tables.steps else np.zeros((1, 0), dtype=np.intp)
     pred = tables.steps[-1].predecessors if tables.steps else tables.weight_rows
-    with_rows = [m for m in range(modes) if tables.starts[m + 1] > tables.starts[m]]
+    # the head: the rows of the first last modes, in no more entries than the degree below
+    head = len(tables.head.modes)
+    assert head in tables.starts and tables.head.modes.size <= prev.size
+    assert np.array_equal(tables.head.modes, rows[:head])
+    _check_terms(tables.head, prev)
+    with_rows = [m for m in range(modes) if tables.starts[m + 1] > tables.starts[m] >= head]
     assert [block[0] for block in tables.blocks] == with_rows
-    for m, start, stop, below, weight_columns, pred_columns in tables.blocks:
+    assert [(start, stop) for _, start, stop, *_ in tables.blocks] == list(
+        zip([head] + [block[2] for block in tables.blocks[:-1]], [block[2] for block in tables.blocks])
+    )
+    assert (tables.blocks[-1][2] if tables.blocks else head) == len(rows)
+    for m, start, stop, below, pred_columns in tables.blocks:
         block, count = rows[start:stop], stop - start
         assert (block[:, -1] == m).all() and np.array_equal(block[:, :-1], prev[:count])
         # position N - 1 reads the prefix row itself, where it does not end in m
@@ -214,11 +231,11 @@ def _check_last_degree(space, distinct):
         assert np.array_equal(np.arange(count) < below, ~ends_in_m)
         ending_in_m = prev[below:]
         for p in range(photons - 1):
-            assert np.array_equal(weight_columns[p], tables.weight_rows[:count, p])
+            weights = tables.weight_rows[:count, p]
             assert np.array_equal(pred_columns[p], pred[:count, p])
             repeat = block[:, p] == block[:, p - 1] if p else np.zeros(count, bool)
-            assert np.array_equal(weight_columns[p] == modes, repeat)
-            assert np.array_equal(weight_columns[p][~repeat], block[~repeat, p])
+            assert np.array_equal(weights == modes, repeat)
+            assert np.array_equal(weights[~repeat], block[~repeat, p])
             source = ending_in_m[pred_columns[p][~repeat]]
             assert np.array_equal(source, np.delete(block[~repeat], p, axis=1))
 
@@ -228,12 +245,13 @@ def _check_last_degree(space, distinct):
 def test_step_table_columns_are_contiguous(modes, photons, distinct):
     # the kernel gathers with one column at a time; np.take copies a strided index array
     tables = _tables(enumerate_configurations(modes, photons), distinct)
-    for step in tables.steps:
+    for step in (*tables.steps, tables.head):
         for p in range(step.modes.shape[1]):
             assert step.modes[:, p].flags.c_contiguous
             assert step.predecessors[:, p].flags.c_contiguous
-    for *_, weight_columns, pred_columns in tables.blocks:
-        assert all(column.flags.c_contiguous for column in weight_columns + pred_columns)
+    assert all(tables.weight_rows[:, p].flags.c_contiguous for p in range(photons - 1))
+    for *_, pred_columns in tables.blocks:
+        assert all(column.flags.c_contiguous for column in pred_columns)
 
 
 @pytest.mark.parametrize("modes,photons", [(60, 4), (18, 4), (8, 5), (3, 6), (9, 1), (7, 2)])
@@ -428,3 +446,13 @@ def test_capacity_limit():
     with pytest.raises(CapacityError):
         enumerate_configurations(40, 10, limit=10_000)
 
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_predecessor_check_refuses_a_head_row_outside_the_degree_below(distinct):
+    # the head table of the last degree is gathered with clipped indices too
+    tables = _tables(enumerate_configurations(7, 3), distinct)
+    pred = tables.head.predecessors.copy(order="F")
+    pred[1, 0] = len(tables.steps[-1].modes) + 1
+    with pytest.raises(RuntimeError, match="predecessors outside rows"):
+        _check_predecessors(dataclasses.replace(tables, head=ExpansionStep(tables.head.modes, pred)))
