@@ -35,12 +35,7 @@ NORMALIZATION_GUARD = 1e-6
 # kernel took while the last degree had tables. A scan block takes as many
 # seeds as fit (`scan_width`), 25 at (18,4). Each blocked mode of the last
 # degree makes 3 N - 2 numpy calls per block whatever the block's width, so
-# narrow blocks of small spaces are mostly call overhead. (With every mode
-# blocked, on a 2-vCPU Xeon host against the full-table kernel at 16 seeds,
-# the two-thread (18,4) scan was 8% slower at 20 seeds and 5% faster at 25,
-# and the `collision` experiment ((16,2) to (25,3), three statistics) was 9%
-# slower at 25 seeds and 8% faster at this budget's 62 to 2,096 seeds;
-# medians of 8 runs.)
+# narrow blocks of small spaces are mostly call overhead.
 SCAN_BYTES = 5_703_808
 
 
@@ -74,15 +69,16 @@ class ScanWorkspace:
     No buffer holds a (size, N) index table or a gather of the last degree:
     that degree is built one last mode at a time past its head (`_expand`),
     so the two gathers hold every position of the widest tabled degree.
-    The gathers are spent before a probability is written, so the
-    probabilities (8 bytes per outcome and seed) share the first. Per
-    outcome and seed of width that leaves the last coefficients (16 bytes, 8
-    for distinguishable particles) and the larger of the probabilities and
-    a gather, plus the lower degrees: at (18,4) a boson workspace takes 227
-    KB per seed of width (the full-table kernel's took 356 KB), so one scan
-    thread holds 5.7 MB at its 25 seeds; at (60,4) one seed's takes 28
-    bytes per outcome for bosons, 25 for fermions and 18 for distinguishable
-    particles (57, 48 and 25 with full tables).
+    Each degree's coefficients take just its own rows, because a repeated
+    mode weighs the zero weight instead of reading a row of zeros. The
+    gathers are spent before a probability is written, so the probabilities
+    (8 bytes per outcome and seed) share the first. Per outcome and seed of
+    width that leaves the last coefficients (16 bytes, 8 for distinguishable
+    particles) and the larger of the probabilities and a gather, plus the
+    lower degrees: at (18,4) a boson workspace takes 227 KB per seed of
+    width, so one scan thread holds 5.7 MB at its 25 seeds; at (60,4) one
+    seed's takes 28 bytes per outcome for bosons, 25 for fermions and 18 for
+    distinguishable particles.
     """
 
     def __init__(self, space: FockSpace, statistics: ParticleStatistics, width: int):
@@ -106,12 +102,12 @@ def scan_width(space: FockSpace, statistics: ParticleStatistics) -> int:
 
 
 def _expansion_buffers(tables: ColexTables, width: int, dtype: np.dtype, probs: int = 0) -> tuple:
-    """`_expand`'s flat buffers: each degree's coefficients, with a zero row
-    after every degree but the last, and two gathers that hold every
-    position of the widest tabled degree (so also every prefix position of
-    the degree-(N - 1) rows); the first also holds `probs` float64 values."""
-    rows = [len(step.modes) + 1 for step in tables.steps] + [tables.size]
-    widest = max([step.modes.size for step in (*tables.steps, tables.head)], default=1) * width
+    """`_expand`'s flat buffers: the coefficients of degrees 1..N, and two
+    gathers that hold every position of the widest tabled degree (so also
+    every prefix position of the degree-(N - 1) rows); the first also holds
+    `probs` float64 values."""
+    rows = [len(step.weights) for step in tables.steps[1:]] + [tables.size]
+    widest = max(step.weights.size for step in (*tables.steps, tables.head)) * width
     first = max(widest, -(-probs * 8 // np.dtype(dtype).itemsize))
     return [np.empty(r * width, dtype) for r in rows], (np.empty(first, dtype), np.empty(widest, dtype))
 
@@ -136,12 +132,12 @@ def _step(
     single: bool = False,
 ) -> None:
     """acc = the coefficients of a step's rows: each position p takes the
-    weight of its mode (w) times the coefficient of its predecessor (prev)."""
-    rows, k = step.modes.shape
+    row of w its weights name times the coefficient of its predecessor (prev)."""
+    rows, k = step.weights.shape
     a, b = (_view3(g, k, rows, acc.shape[1]) for g in gathers)
     for p in range(k):
         # the tables are checked once per space (fock._check_predecessors), so no bounds check here
-        w.take(step.modes[:, p], axis=0, out=a[p], mode="clip")
+        w.take(step.weights[:, p], axis=0, out=a[p], mode="clip")
         prev.take(step.predecessors[:, p], axis=0, out=b[p], mode="clip")
     if fermion:
         _laplace_signs(a, k)
@@ -155,9 +151,13 @@ def _laplace_signs(a: np.ndarray, k: int) -> None:
     np.negative(a[k % 2 :: 2], out=a[k % 2 :: 2])
 
 
-def _add_products(a: np.ndarray, b: np.ndarray, acc: np.ndarray, single: bool = False) -> None:
+def _add_products(
+    a: Sequence[np.ndarray], b: Sequence[np.ndarray], acc: np.ndarray, single: bool = False
+) -> None:
     """acc = sum over positions p of a[p] * b[p], added in order of p, for
-    (positions, rows, block) gathers a and b; b is overwritten.
+    (rows, block) arrays b[p] and a[p] (or one row of weights for all); b is
+    overwritten. The last b[p] may have fewer rows: it adds to the first
+    rows of acc.
 
     Each product goes to the slot of b that the one before it has spent:
     numpy rounds a one-element complex product without FMA when `out` is an
@@ -165,11 +165,13 @@ def _add_products(a: np.ndarray, b: np.ndarray, acc: np.ndarray, single: bool = 
     columns in place (`single`: a last degree of one entry, which is sets of
     N = M modes in one column) are they multiplied in place. (Elsewhere a
     one-element column is one of M = 1 mode, whose later positions all
-    repeat and multiply zeros.)
+    repeat and weigh zero.)
     """
     np.multiply(a[0], b[0], out=acc)
     for p in range(1, len(a)):
         product = b[p] if single else b[p - 1]
+        if len(b[p]) < len(acc):  # the last term, over the first rows only
+            product, acc = product[: len(b[p])], acc[: len(b[p])]
         np.multiply(a[p], b[p], out=product)
         np.add(acc, product, out=acc)
 
@@ -191,25 +193,27 @@ def _expand(
     position p of a degree-k row carries the Laplace sign (-1)^(k-1-p), so
     over rows of distinct modes the coefficient is det(weights[r, c]).
 
-    Degrees below N, and the head of degree N (its rows that end in the
-    first modes), gather through their tables: every position's weights and
-    predecessors, one column each, then the products are summed in order of
-    position. The rest of degree N is built one last mode m at a time, from
-    the degree-(N - 1) prefix rows i of that block (`fock.ColexTables`).
-    Position N - 1 takes weights[m] times row i itself, for the rows
-    i < below[m] that do not end in m. Position p < N - 1 takes row i's
-    predecessor through the degree-(N - 1) index column p, offset to the
-    rows that end in m, and a zero weight where it repeats a mode; those
-    weights are the first rows of one gather for every block. Each product
-    goes to a buffer that is not its input (`_add_products`), except where
-    the full-table kernel multiplied one-element columns in place, so every
-    coefficient keeps that kernel's bits.
+    Every term gathers a weight and a predecessor's coefficient, one index
+    column per position, and the products are summed in order of position.
+    One rule drops the term of a repeated mode: a position that repeats the
+    one before it weighs row M of `w`, the zero weight (`fock.ExpansionStep`),
+    and still reads a row of the degree below. Degrees 1..N - 1 and the head
+    of degree N (its rows that end in the first modes) run through their
+    tables in one loop. The rest of degree N is built one last mode m at a
+    time, from the degree-(N - 1) prefix rows i of that block
+    (`fock.ColexTables`). Position N - 1 takes weights[m] times row i
+    itself, for the rows i < below[m] that do not end in m. Position
+    p < N - 1 takes the degree-(N - 1) step's weight of row i, gathered once
+    for every block, and row i's predecessor offset to the rows that end in
+    m. Each product goes to a buffer that is not its input
+    (`_add_products`), except where the full-table kernel multiplied
+    one-element columns in place, so every coefficient keeps that kernel's
+    bits.
 
     Calls, not arithmetic, bound narrow blocks: at (18,4) the head takes
     modes 0-9 and leaves 8 blocked modes of 3 N - 2 calls each, so a block
-    of seeds makes 121 numpy calls that compute (255 when all 18 modes
-    were blocked, at 4 N - 2 calls each). Fewer, longer calls also mean fewer
-    hand-offs of the GIL between scan threads.
+    of seeds makes 121 numpy calls that compute. Fewer, longer calls also
+    mean fewer hand-offs of the GIL between scan threads.
 
     No (size, N) index table exists, and no buffer spans the last degree but
     its coefficients: one (60,4) boson seed runs in 28 bytes per outcome, one
@@ -229,44 +233,33 @@ def _expand(
     else:
         coefs, gathers = workspace.coefs, workspace.gathers
     a_buf, b_buf = gathers
-    prev = np.zeros((2, block), dtype=weights.dtype)  # degree 0 and its zero row
-    prev[0] = 1
-    for k, step in enumerate(tables.steps, start=1):
-        rows = len(step.modes)
-        # a zero row after the degree: the next one gathers it for repeated modes
-        coef = _view(coefs[k - 1], rows + 1, block)
-        coef[rows:] = 0
-        _step(weights[:, columns[:, k - 1]], prev, step, gathers, coef[:rows], fermion)
-        prev = coef
-    # degree N: the rows of the first last modes through their table, then one block per last mode
-    k = len(tables.steps) + 1
-    positions = k - 1  # the prefix positions; position N - 1 is the last mode itself
-    w = np.zeros((modes + 1, block), dtype=weights.dtype)  # row M weighs repeated positions
-    w[:modes] = weights[:modes, columns[:, k - 1]]
-    out = _view(coefs[-1], tables.size, block)
-    # a last degree of one entry (sets of N = M modes) is all head
-    _step(w, prev, tables.head, gathers, out[: len(tables.head.modes)], fermion, single=out.size == 1)
+    w = np.zeros((modes + 1, block), dtype=weights.dtype)  # row M is the zero weight
+    coef = [np.ones((1, block), dtype=weights.dtype)]  # degree 0
+    single = tables.size * block == 1  # a last degree of one entry (sets of N = M modes) is all head
+    # degrees 1..N - 1, then the rows of the first last modes of degree N
+    for k, step in enumerate((*tables.steps[1:], tables.head), start=1):
+        w[:modes] = weights[:modes, columns[:, k - 1]]
+        coef.append(_view(coefs[k - 1], len(step.weights), block))
+        _step(w, coef[k - 1], step, gathers, coef[k], fermion, single=single and k == len(tables.steps))
+    # the rest of degree N, one block per last mode
+    prev, out = coef[-2], _view(coefs[-1], tables.size, block)
+    last = tables.steps[-1].weights
+    positions = last.shape[1]  # the prefix positions; position N - 1 is the last mode itself
     # every prefix position's weight for all degree-(N - 1) rows at once: a
     # block's weights are their first rows, whatever its last mode
-    a = _view3(a_buf, positions, len(tables.weight_rows), block)
+    a = _view3(a_buf, positions, len(last), block)
     for p in range(positions):
-        w.take(tables.weight_rows[:, p], axis=0, out=a[p], mode="clip")
+        w.take(last[:, p], axis=0, out=a[p], mode="clip")
     if fermion:
-        _laplace_signs(a, k)
+        _laplace_signs(a, positions + 1)
     for m, start, stop, below, preds in tables.blocks:
         count = stop - start
-        acc = out[start:stop]
-        if positions:
-            b = _view3(b_buf, positions, count, block)
-            for p, pred in enumerate(preds):
-                # the degree-(N - 1) rows that end in m come first
-                prev[below:].take(pred, axis=0, out=b[p], mode="clip")
-            _add_products(a[:, :count], b, acc)
-        if k == 1:
-            np.multiply(w[m : m + 1], prev[:count], out=acc)
-        elif below:
-            tail = np.multiply(w[m : m + 1], prev[:below], out=_view(b_buf, below, block))
-            np.add(acc[:below], tail, out=acc[:below])
+        b = _view3(b_buf, positions, count, block)
+        for p, pred in enumerate(preds):
+            # the degree-(N - 1) rows that end in m come first
+            prev[below:].take(pred, axis=0, out=b[p], mode="clip")
+        # position N - 1: weights[m] times the first below[m] prefix rows themselves
+        _add_products([*a[:, :count], w[m : m + 1]], [*b, prev[:below]], out[start:stop])
     return out
 
 

@@ -629,12 +629,16 @@ def run_maxprob_scaling(eff: dict[str, Any]) -> Outcome:
     """Largest single-outcome probability versus space size, with a power-law fit.
 
     Samples seeds per cell, records max_r P(r|s), and fits
-    log(mean) = log(a) + b log(size) over the grid.
+    log(mean) = log(a) + b log(size) over the grid; exponent b and
+    prefactor a are null when the cells give fewer than two distinct sizes.
     """
     seed_sample = eff["seed_sample"]
     size_measure = eff["size_measure"]
     if size_measure not in ("full", "collision_free"):
         raise ValueError(f"size_measure must be 'full' or 'collision_free', got {size_measure!r}")
+    bad = [[modes, photons] for modes, photons in eff["cells"] if photons > modes]
+    if size_measure == "collision_free" and bad:
+        raise ValueError(f"cells must have photons <= modes under size_measure 'collision_free', got {bad}")
 
     def per_unitary(space, matrix, child):
         if seed_sample < space.size:
@@ -667,11 +671,14 @@ def run_maxprob_scaling(eff: dict[str, Any]) -> Outcome:
             )
             sizes.append(space.size if size_measure == "full" else size_cf)
             means.append(pooled.mean())
-        slope, intercept = np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(means), 1)
+        exponent = prefactor = None  # a line through fewer than two sizes is not fitted
+        if len(set(sizes)) >= 2:
+            slope, intercept = np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(means), 1)
+            exponent, prefactor = float(slope), float(math.exp(intercept))
         summary = {
             "size_measure": size_measure,
-            "exponent": float(slope),
-            "prefactor": float(math.exp(intercept)),
+            "exponent": exponent,
+            "prefactor": prefactor,
             "unitary_count": eff["unitary_count"],
             "seed_sample": seed_sample,
         }

@@ -137,13 +137,13 @@ class FockSpace:
     """All configurations of a (modes, photons) pair in canonical code order.
 
     No table spans the space once it outgrows the (N - 1)-photon rows.
-    `expansion` keeps full tables for photon counts 1..N - 1 only; the
+    `expansion` keeps full tables for photon counts 0..N - 1 only; the
     configurations are its last degree, laid out in one block per last mode
     (`ColexTables`; only its head, the rows of the first modes, is tabled),
     and each per-configuration array below is built block by block from
     binomials.
-    At (60,4) the space keeps 4.5 MB (under 8 bytes per configuration) and
-    peaks at 7.4 MB while it is built; one (size, 4) index table is 19 MB.
+    At (60,4) the space keeps 3.6 MB (about 6 bytes per configuration) and
+    peaks at 4.6 MB while it is built; one (size, 4) index table is 19 MB.
     The kernel then needs 28 bytes per outcome for one boson seed and 227 KB
     per seed of width at (18,4), 5.7 MB for one scan thread's 25 seeds
     (`distribution.ScanWorkspace`).
@@ -180,9 +180,7 @@ class FockSpace:
         return f"FockSpace(modes={self.modes}, photons={self.photons}, size={self.size})"
 
     def configuration(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} out of range for size {self.size}")
-        return tuple(np.bincount(self.expansion.rows([index])[0], minlength=self.modes).tolist())
+        return unrank(self.modes, self.photons, index)
 
     def _degree_blocks(self, k: int) -> list[tuple[int, int, int]]:
         """(start, count, below) of each last mode of the k-photon rows (`_last_mode_blocks`)."""
@@ -249,21 +247,21 @@ class FockSpace:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionStep:
-    """Degree k of the expansion of a product of linear forms, 1 <= k < N,
-    or the first rows of degree N (`ColexTables.head`).
+    """Degree k of the expansion of a product of linear forms, k < N, or the
+    first rows of degree N (`ColexTables.head`).
 
     Attributes:
-        modes: (size_k, k) sorted photon modes of each degree-k row.
-        predecessors: (size_k, k) degree k - 1 row of the same modes with
-            sorted position p removed. Where position p repeats the mode of
-            position p - 1 it is size_{k-1}, one past the last row, where
-            the kernel keeps a row of zeros; so each distinct mode counts once.
+        weights: (size_k, k) sorted photon modes of each degree-k row, with
+            M (the zero weight) wherever a position repeats the mode of the
+            position before it; so each distinct mode counts once.
+        predecessors: (size_k, k) degree-(k - 1) row of the same modes with
+            sorted position p removed.
 
     Both tables are column-major, so the kernel gathers with contiguous
     index columns: `np.take` copies a strided one on every call.
     """
 
-    modes: np.ndarray
+    weights: np.ndarray
     predecessors: np.ndarray
 
 
@@ -272,7 +270,7 @@ class ColexTables:
     """Every sorted N-photon row over `modes` modes (of distinct modes for
     fermions) in colex order, as the expansion kernel reads them.
 
-    Degrees 1..N - 1 are full tables (`steps`); degree N has none. Colex
+    Degrees 0..N - 1 are full tables (`steps`); degree N has none. Colex
     order sorts rows by their last mode first, so the degree-N rows that
     end in mode m are rows starts[m]:starts[m + 1], and row starts[m] + i is
     the degree-(N - 1) row i followed by m. Those prefix rows are the ones
@@ -281,12 +279,14 @@ class ColexTables:
     the first mode with any), and building them one by one would be mostly
     numpy call overhead, so they are tabled together as the `head`, in no
     more entries than the degree-(N - 1) table. No table is larger, so none
-    spans a space larger than that: the rest of the last degree costs only
-    the (size_{N-1}, N - 1) `weight_rows`.
+    spans a space larger than that. The rest of the last degree reads the
+    degree-(N - 1) step: its weights, which are a prefix row's weights in
+    every block, and its predecessors, offset to the rows that end in m.
 
     Attributes:
         modes: mode count M.
-        steps: `ExpansionStep` of degrees 1..N - 1.
+        steps: `ExpansionStep` of degrees 0..N - 1; degree 0 is the one
+            empty row.
         head: `ExpansionStep` of the degree-N rows before starts[m], for
             the largest m with starts[m] <= size_{N-1} (N - 1) / N, so its
             gathers are no wider than those of degree N - 1 (at (18,4), 715
@@ -295,10 +295,6 @@ class ColexTables:
             every mode < m; the degree-(N - 1) rows that end in m are rows
             below[m]:below[m + 1].
         starts: first degree-N row of each last mode, then the row count.
-        weight_rows: (size_{N-1}, N - 1), column-major: the mode each
-            position of a degree-(N - 1) row weighs when the row is a
-            degree-N prefix, or M (a zero weight) where it repeats the
-            position before.
     """
 
     modes: int
@@ -306,7 +302,6 @@ class ColexTables:
     head: ExpansionStep
     below: tuple[int, ...]
     starts: tuple[int, ...]
-    weight_rows: np.ndarray
 
     @property
     def size(self) -> int:
@@ -316,14 +311,12 @@ class ColexTables:
     def blocks(self) -> list[tuple[int, int, int, int, list[np.ndarray]]]:
         """(m, start, stop, below[m], predecessor columns) of each last mode m
         with rows, the degree-(N - 1) predecessor columns cut to the block's
-        prefix rows once, so the kernel slices none per call. (The weights of
-        a block's prefix rows are the first rows of `weight_rows`, whatever
-        its mode, so the kernel gathers them once for every block.)"""
-        pred = self.steps[-1].predecessors if self.steps else self.weight_rows
+        prefix rows once, so the kernel slices none per call."""
+        pred = self.steps[-1].predecessors
         blocks = []
         for m in range(self.modes):
             start, stop = self.starts[m], self.starts[m + 1]
-            if stop > start and start >= len(self.head.modes):
+            if stop > start and start >= len(self.head.weights):
                 blocks.append((m, start, stop, self.below[m], list(pred[: stop - start].T)))
         return blocks
 
@@ -334,9 +327,10 @@ class ColexTables:
         if index.size and not (index.min() >= 0 and index.max() < self.size):
             raise IndexError(f"row indices outside 0..{self.size - 1}")
         last = np.searchsorted(self.starts, index, side="right") - 1
-        if not self.steps:  # one photon: the prefix is the empty row
-            return last[:, None]
-        return np.column_stack([self.steps[-1].modes[index - np.take(self.starts, last)], last])
+        rows = np.column_stack([self.steps[-1].weights[index - np.take(self.starts, last)], last])
+        for p in range(1, rows.shape[1] - 1):  # a zero weight repeats the mode before it
+            np.copyto(rows[:, p], rows[:, p - 1], where=rows[:, p] == self.modes)
+        return rows
 
 
 def _last_mode_blocks(modes: int, k: int, distinct: bool) -> tuple[list[int], list[int]]:
@@ -349,59 +343,52 @@ def _last_mode_blocks(modes: int, k: int, distinct: bool) -> tuple[list[int], li
 
 
 def _next_degree(
-    prev: np.ndarray, prev_raw: np.ndarray, below: list[int], starts: list[int], stop: int, distinct: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the degree after `prev` that end in a mode below `stop`,
-    their predecessors without and with the zero row for repeats (see
-    `_colex_steps`), each (rows, k) and column-major."""
+    prev: np.ndarray, prev_pred: np.ndarray, below: list[int], starts: list[int], stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the degree after `prev` that end in a mode below `stop`
+    and their predecessors (see `_colex_steps`), each (rows, k) and
+    column-major."""
     rows = np.empty((starts[stop], prev.shape[1] + 1), dtype=np.intp, order="F")
-    raw = np.empty_like(rows)
+    pred = np.empty_like(rows)
     for m in range(stop):
         block = slice(starts[m], starts[m + 1])
         count = block.stop - block.start
         rows[block, :-1] = prev[:count]
         rows[block, -1] = m
-        np.add(prev_raw[:count], below[m], out=raw[block, :-1])
-        raw[block, -1] = np.arange(count)
-    pred = raw
-    if not distinct:  # a position that repeats the one before it takes the zero row
-        pred = raw.copy(order="F")
-        np.copyto(pred[:, 1:], len(prev), where=rows[:, 1:] == rows[:, :-1])
-    return rows, raw, pred
+        np.add(prev_pred[:count], below[m], out=pred[block, :-1])
+        pred[block, -1] = np.arange(count)
+    return rows, pred
 
 
 def _colex_steps(modes: int, photons: int, distinct: bool) -> ColexTables:
-    """Tables for degrees 1..photons - 1 and the block layout of degree
+    """Tables for degrees 0..photons - 1 and the block layout of degree
     `photons`; degree k lists every sorted k-photon row (of distinct modes if
     `distinct`) in colex order.
 
     The degree-k rows that end in mode m are a prefix of the degree-(k - 1)
     table, each followed by m (`_last_mode_blocks`). Without its last
     position such a row is its prefix row i. Without position p < k - 1 it
-    is the degree-(k - 2) row raw[i, p] followed by m, which sits below[m]
-    rows further down the degree-(k - 1) table. The kernel builds the last
-    degree the same way, one last mode at a time past the `head`, so it
-    needs no full table of it: at (60,4) the tables keep 4.5 MB, 1.8 MB of
-    them the head's 27,405 rows, where one (size, 4) table takes 19 MB.
+    is the degree-(k - 2) row pred[i, p] followed by m, which sits below[m]
+    rows further down the degree-(k - 1) table. Once every table is built,
+    each position that repeats the one before it weighs M, the zero weight
+    (`ExpansionStep`). The kernel builds the last degree the same way, one
+    last mode at a time past the `head`, so it needs no full table of it.
     """
-    rows = raw = np.zeros((1, 0), dtype=np.intp)  # degree 0 is the empty row
-    steps = []
+    rows = pred = np.zeros((1, 0), dtype=np.intp)  # degree 0 is the empty row
+    steps = [(rows, pred)]
     for k in range(1, photons):
         below, starts = _last_mode_blocks(modes, k, distinct)
-        rows, raw, pred = _next_degree(rows, raw, below, starts, modes, distinct)
-        steps.append(ExpansionStep(rows, pred))
+        rows, pred = _next_degree(rows, pred, below, starts, modes)
+        steps.append((rows, pred))
     below, starts = _last_mode_blocks(modes, photons, distinct)
     # the first last modes, whose blocks are narrow, as one table no larger than degree N - 1's
-    head_modes = bisect_right(starts, rows.size // photons) - 1
-    head, _, head_pred = _next_degree(rows, raw, below, starts, head_modes, distinct)
-    weight_rows = rows
-    if not distinct:  # as a degree-N prefix, a repeated position weighs the zero row M
-        weight_rows = rows.copy(order="F")
-        np.copyto(weight_rows[:, 1:], modes, where=rows[:, 1:] == rows[:, :-1])
-    tables = ColexTables(
-        modes, tuple(steps), ExpansionStep(head, head_pred), tuple(below), tuple(starts), weight_rows
-    )
+    head = _next_degree(rows, pred, below, starts, bisect_right(starts, rows.size // photons) - 1)
     _check_colex(rows, modes, distinct)
+    for weights, _ in (*steps, head):  # in place: every degree is built, so no row is read again
+        np.copyto(weights[:, 1:], modes, where=weights[:, 1:] == weights[:, :-1])
+    tables = ColexTables(
+        modes, tuple(ExpansionStep(*step) for step in steps), ExpansionStep(*head), tuple(below), tuple(starts)
+    )
     _check_predecessors(tables)
     return tables
 
@@ -422,31 +409,26 @@ def _check_colex(rows: np.ndarray, modes: int, distinct: bool) -> None:
 
 
 def _check_predecessors(tables: ColexTables) -> None:
-    """Raise unless every term of the expansion reads a row of the degree
-    below it. The kernel gathers with clipped indices, which would read a
-    wrong row instead of failing.
+    """Raise unless every term of the expansion weighs a mode or the zero
+    weight M and reads a row of the degree below it. The kernel gathers
+    with clipped indices, which would read a wrong row instead of failing.
 
-    Up to degree N - 1, and in the head of degree N, a predecessor is a
-    degree-(k - 1) row or the zero row one past them. Degree-N block m
-    reads the degree-(N - 1) rows that end in m, so a prefix row's
-    predecessor, for each position that weighs a mode, must stay below
-    their count in the first block that reads the row.
+    Degree-N block m reads the degree-(N - 1) predecessors offset to the
+    rows that end in m, so each prefix row's predecessors must also stay
+    below the count of those rows in the first block that reads the row.
     """
-    prev_rows = 1  # degree 0 is the empty row
+    prev_rows = 0  # degree 0 reads no row
     for step in (*tables.steps, tables.head):
-        pred = step.predecessors
-        if pred.size and not (pred.min() >= 0 and pred.max() <= prev_rows):
-            raise RuntimeError(f"degree-{pred.shape[1]} predecessors outside rows 0..{prev_rows}")
-        prev_rows = len(step.modes)
-    weights = tables.weight_rows
-    if not weights.size:
-        return
+        weights, pred = step.weights, step.predecessors
+        if pred.size and not (
+            weights.min() >= 0 and weights.max() <= tables.modes and pred.min() >= 0 and pred.max() < prev_rows
+        ):
+            raise RuntimeError(f"degree-{pred.shape[1]} terms outside the modes or rows 0..{prev_rows - 1}")
+        prev_rows = len(pred)
     pred = tables.steps[-1].predecessors
     first = np.searchsorted(np.diff(tables.starts), np.arange(len(pred)), side="right")
     room = np.append(np.diff(tables.below), np.iinfo(np.intp).max)[first]  # a row no block reads
-    weighed = weights < tables.modes
-    inside = (pred >= 0) & (pred < room[:, None])
-    if not (weights.min() >= 0 and weights.max() <= tables.modes and (inside | ~weighed).all()):
+    if not ((pred >= 0) & (pred < room[:, None])).all():
         raise RuntimeError(f"degree-{pred.shape[1] + 1} predecessors outside the rows of their last mode")
 
 

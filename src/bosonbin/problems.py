@@ -301,17 +301,26 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> ProblemInstance:
+    """The instance a problem file describes. Refuses a float, bool or string
+    where an integer field belongs, instead of rounding it to another instance."""
     if data.get("kind_of_file") != "problem_instance":
         raise ValueError("not a problem-instance payload")
     unitary = None
     if "unitary" in data:
         unitary = unitary_from_json(data["unitary"])
+    for key, least in (("modes", 1), ("photons", 1), ("num_bins", 2)):
+        _check_int(key, data[key], least)
+    if data.get("haar_seed") is not None:
+        _check_int("haar_seed", data["haar_seed"], 0)
+    y = data.get("y", [])
+    if not isinstance(y, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in y):
+        raise ValueError(f"y must be a list of integers, got {y!r}")
     return ProblemInstance(
-        modes=int(data["modes"]),
-        photons=int(data["photons"]),
-        num_bins=int(data["num_bins"]),
+        modes=data["modes"],
+        photons=data["photons"],
+        num_bins=data["num_bins"],
         seeds=tuple(parse_configuration(s) for s in data["seeds"]),
-        y=tuple(int(v) for v in data.get("y", [])),
+        y=tuple(y),
         kind=str(data["kind"]),
         f_id=str(data["f_id"]),
         haar_seed=data.get("haar_seed"),

@@ -432,6 +432,8 @@ SMALL = {
         ("ryser_benchmark", "cells", {"cells": [[4, 2, 2]]}),
         ("ryser_benchmark", "n_range", {"n_range": [6, 7, 8]}),
         ("ryser_benchmark", "n_range", {"n_range": [6]}),
+        # a cell without collision-free outcomes, whose size would be log(0) in the fit
+        ("maxprob_scaling", "cells", {"cells": [[2, 3], [4, 2], [6, 2]], "size_measure": "collision_free"}),
     ],
 )
 def test_experiment_refuses_a_setting_of_the_wrong_type(tmp_path, capsys, experiment, key, config):
@@ -445,6 +447,45 @@ def test_experiment_refuses_a_setting_of_the_wrong_type(tmp_path, capsys, experi
     assert code == 2
     assert err.startswith(f"error: {key} must")
     assert not out_dir.exists()
+
+
+# np.polyfit's RankWarning is not a RuntimeWarning, so pytest's own filter would let it pass
+@pytest.mark.filterwarnings("error")
+def test_maxprob_scaling_fits_no_line_through_one_size(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cells": [[4, 2]]}))
+    out_dir = tmp_path / "reports"
+    code, _, _ = run_cli(
+        capsys,
+        "experiment", "maxprob_scaling", "--config", str(path), "--master-seed", "1", "--quick",
+        "--out", str(out_dir),
+    )
+    assert code == 0
+    summary = json.loads((out_dir / "maxprob_scaling.json").read_text())["summary"]
+    assert summary["exponent"] is None and summary["prefactor"] is None
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("modes", 15.0),
+        ("photons", "3"),
+        ("num_bins", 2.5),
+        ("haar_seed", True),
+        ("y", [2.7]),
+        ("y", [True]),
+    ],
+)
+def test_problem_refuses_a_non_integer_field(tmp_path, capsys, key, value):
+    # int() would round each of these to another instance and answer that one
+    path = Path(write_instance(tmp_path))
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "problem", str(path), "--solve")
+    assert code == 2
+    assert err.startswith(f"error: {key} must")
+    assert out == ""
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -126,9 +126,10 @@ def test_index_of_round_trips(modes, photons):
 def test_unrank_at_benchmark_size():
     space = enumerate_configurations(60, 4)
     ranks = rng_policy.generator(4).choice(space.size, size=2000, replace=False)
-    for rank in [0, space.size - 1, *ranks.tolist()]:
+    rows = space.expansion.rows([0, space.size - 1, *ranks.tolist()])
+    for rank, row in zip([0, space.size - 1, *ranks.tolist()], rows):
         configuration = unrank(60, 4, rank)
-        assert configuration == space.configuration(rank)
+        assert configuration == tuple(np.bincount(row, minlength=60).tolist())
         assert space.index_of(configuration) == rank
 
 
@@ -156,31 +157,52 @@ def _tables(space, distinct):
     return space.fermion_expansion if distinct else space.expansion
 
 
+def _sorted_rows(modes, k, distinct):
+    """Every sorted k-photon row (of distinct modes if `distinct`) in integer-code order."""
+    rows = _code_order(modes, k)
+    return rows[(rows[:, 1:] > rows[:, :-1]).all(axis=1)] if distinct else rows
+
+
+def _weights(rows, modes):
+    """The rule for `ExpansionStep.weights`: a position weighs M exactly where
+    it repeats the position before it, and its own mode otherwise."""
+    weights = rows.copy()
+    weights[:, 1:][rows[:, 1:] == rows[:, :-1]] = modes
+    return weights
+
+
+def _restore(weights, modes):
+    """The sorted rows behind a weights table: a zero weight repeats the mode before it."""
+    rows = np.array(weights)
+    for p in range(1, rows.shape[1]):
+        rows[:, p] = np.where(rows[:, p] == modes, rows[:, p - 1], rows[:, p])
+    return rows
+
+
 @pytest.mark.parametrize("modes,photons", [(7, 4), (9, 3), (6, 6)])
 @pytest.mark.parametrize("distinct", [False, True])
 def test_step_tables(modes, photons, distinct):
     space = enumerate_configurations(modes, photons)
     tables = _tables(space, distinct)
-    assert len(tables.steps) == photons - 1  # the last degree has no full table
-    prev = np.zeros((1, 0), dtype=np.intp)  # degree 0: the empty row
-    for k, step in enumerate(tables.steps, start=1):
-        degree = enumerate_configurations(modes, k)
-        rows = degree.expansion.rows(degree.collision_free_indices) if distinct else degree.expansion.rows()
-        assert np.array_equal(step.modes, rows)
-        _check_terms(step, prev)
-        prev = step.modes
+    assert len(tables.steps) == photons  # degrees 0..N - 1: the last degree has no full table
+    prev = np.zeros((1, 0), dtype=np.intp)  # degree 0: the one empty row
+    assert tables.steps[0].weights.shape == tables.steps[0].predecessors.shape == prev.shape
+    for k, step in enumerate(tables.steps[1:], start=1):
+        rows = _sorted_rows(modes, k, distinct)
+        assert np.array_equal(step.weights, _weights(rows, modes))
+        _check_terms(step, rows, prev)
+        prev = rows
     _check_last_degree(space, distinct)
 
 
-def _check_terms(step, prev):
-    """Each term of a tabled degree reads its row with the term's position
-    removed, or the zero row after `prev` where the position repeats a mode."""
-    rows = step.modes
+def _check_terms(step, rows, prev):
+    """Each term of a tabled degree, weighed or not, reads a row of the
+    degree below (`prev`): its row with the term's position removed."""
+    assert step.predecessors.shape == rows.shape
     for p in range(rows.shape[1]):
-        repeat = rows[:, p] == rows[:, p - 1] if p else np.zeros(len(rows), bool)
         pred = step.predecessors[:, p]
-        assert np.array_equal(pred == len(prev), repeat)
-        assert np.array_equal(prev[pred[~repeat]], np.delete(rows[~repeat], p, axis=1))
+        assert ((pred >= 0) & (pred < len(prev))).all()
+        assert np.array_equal(prev[pred], np.delete(rows, p, axis=1))
 
 
 def _colex_ranks(rows, distinct):
@@ -199,9 +221,9 @@ def _colex_ranks(rows, distinct):
 def _check_last_degree(space, distinct):
     """The last degree's layout against its definition and an independent
     colex rank: the head table and then each last-mode block list every row
-    once, in colex order, and each term's source row is that row with the
-    term's position removed (a zero row or weight where the position repeats
-    a mode)."""
+    once, in colex order; each block weighs its prefix rows' own weights;
+    and each term's source row is that row with the term's position removed,
+    read inside the rows that end in the block's mode."""
     tables = _tables(space, distinct)
     modes, photons = space.modes, space.photons
     rows = tables.rows()
@@ -210,13 +232,14 @@ def _check_last_degree(space, distinct):
     assert np.array_equal(_colex_ranks(rows, distinct), np.arange(len(rows)))
     if distinct:
         assert np.array_equal(rows, space.expansion.rows(space.collision_free_indices))
-    prev = tables.steps[-1].modes if tables.steps else np.zeros((1, 0), dtype=np.intp)
-    pred = tables.steps[-1].predecessors if tables.steps else tables.weight_rows
+    last = tables.steps[-1]
+    prev = _sorted_rows(modes, photons - 1, distinct) if photons > 1 else np.zeros((1, 0), dtype=np.intp)
+    assert np.array_equal(last.weights, _weights(prev, modes))
     # the head: the rows of the first last modes, in no more entries than the degree below
-    head = len(tables.head.modes)
-    assert head in tables.starts and tables.head.modes.size <= prev.size
-    assert np.array_equal(tables.head.modes, rows[:head])
-    _check_terms(tables.head, prev)
+    head = len(tables.head.weights)
+    assert head in tables.starts and tables.head.weights.size <= prev.size
+    assert np.array_equal(tables.head.weights, _weights(rows[:head], modes))
+    _check_terms(tables.head, rows[:head], prev)
     with_rows = [m for m in range(modes) if tables.starts[m + 1] > tables.starts[m] >= head]
     assert [block[0] for block in tables.blocks] == with_rows
     assert [(start, stop) for _, start, stop, *_ in tables.blocks] == list(
@@ -229,15 +252,15 @@ def _check_last_degree(space, distinct):
         # position N - 1 reads the prefix row itself, where it does not end in m
         ends_in_m = prev[:count, -1] == m if photons > 1 else np.zeros(count, bool)
         assert np.array_equal(np.arange(count) < below, ~ends_in_m)
-        ending_in_m = prev[below:]
+        # a prefix position repeats in the block's row exactly where it does in the prefix row
+        assert np.array_equal(_weights(block, modes)[:, :-1], last.weights[:count])
+        # the degree-(N - 1) rows that end in m, which the block's terms offset into
+        ending_in_m = prev[below:][: np.count_nonzero(prev[:, -1:] == m)]
+        assert len(pred_columns) == photons - 1
         for p in range(photons - 1):
-            weights = tables.weight_rows[:count, p]
-            assert np.array_equal(pred_columns[p], pred[:count, p])
-            repeat = block[:, p] == block[:, p - 1] if p else np.zeros(count, bool)
-            assert np.array_equal(weights == modes, repeat)
-            assert np.array_equal(weights[~repeat], block[~repeat, p])
-            source = ending_in_m[pred_columns[p][~repeat]]
-            assert np.array_equal(source, np.delete(block[~repeat], p, axis=1))
+            assert np.array_equal(pred_columns[p], last.predecessors[:count, p])
+            assert ((pred_columns[p] >= 0) & (pred_columns[p] < len(ending_in_m))).all()
+            assert np.array_equal(ending_in_m[pred_columns[p]], np.delete(block, p, axis=1))
 
 
 @pytest.mark.parametrize("modes,photons", [(8, 5), (18, 4), (3, 6)])
@@ -246,10 +269,9 @@ def test_step_table_columns_are_contiguous(modes, photons, distinct):
     # the kernel gathers with one column at a time; np.take copies a strided index array
     tables = _tables(enumerate_configurations(modes, photons), distinct)
     for step in (*tables.steps, tables.head):
-        for p in range(step.modes.shape[1]):
-            assert step.modes[:, p].flags.c_contiguous
+        for p in range(step.weights.shape[1]):
+            assert step.weights[:, p].flags.c_contiguous
             assert step.predecessors[:, p].flags.c_contiguous
-    assert all(tables.weight_rows[:, p].flags.c_contiguous for p in range(photons - 1))
     for *_, pred_columns in tables.blocks:
         assert all(column.flags.c_contiguous for column in pred_columns)
 
@@ -272,8 +294,8 @@ def test_step_tables_at_benchmark_sizes(modes, photons, distinct):
     tables = _tables(space, distinct)
     rng = rng_policy.generator(modes * 10 + photons)
     prev = np.zeros((1, 0), dtype=np.intp)
-    for k, step in enumerate([*tables.steps, None], start=1):
-        rows = step.modes if step else tables.rows()
+    for k, step in enumerate([*tables.steps[1:], None], start=1):
+        rows = _restore(step.weights, modes) if step else tables.rows()
         assert len(rows) == (math.comb(modes, k) if distinct else math.comb(modes + k - 1, k))
         sample = rng.choice(len(rows), size=min(1000, len(rows)), replace=False)
         assert [_colex_rank(rows[i], distinct) for i in sample] == sample.tolist()
@@ -281,13 +303,10 @@ def test_step_tables_at_benchmark_sizes(modes, photons, distinct):
             assert [space.index_of(space.configuration(int(i))) for i in sample] == sample.tolist()
         if step is None:  # the last degree's terms: _check_last_degree
             break
+        assert np.array_equal(step.weights, _weights(rows, modes))
         for i in sample:
             for p in range(k):
-                pred = step.predecessors[i, p]
-                if p and rows[i, p] == rows[i, p - 1]:
-                    assert pred == len(prev)
-                else:
-                    assert np.array_equal(prev[pred], np.delete(rows[i], p))
+                assert np.array_equal(prev[step.predecessors[i, p]], np.delete(rows[i], p))
         prev = rows
     if distinct:
         assert np.array_equal(tables.rows(), space.expansion.rows(space.collision_free_indices))
@@ -321,22 +340,24 @@ def _out_of_range(rows):
 @pytest.mark.parametrize("distinct", [False, True])
 def test_colex_check_refuses_a_corrupted_table(corrupt, distinct):
     space = enumerate_configurations(7, 3)
-    for rows in (_tables(space, distinct).steps[-1].modes, _tables(space, distinct).rows()):
+    tables = _tables(space, distinct)
+    for rows in (_restore(tables.steps[-1].weights, 7), tables.rows()):
         _check_colex(rows, 7, distinct)
         with pytest.raises(RuntimeError, match="colex"):
             _check_colex(corrupt(rows.copy()), 7, distinct)
 
 
-def _past_zero_row(tables):
+def _past_last_row(tables):
+    # the first index past the rows of the degree below
     pred = tables.steps[-1].predecessors.copy(order="F")
-    pred[4, 1] = len(tables.steps[-2].modes) + 1
-    return pred, tables.weight_rows, "predecessors outside rows"
+    pred[4, 1] = len(tables.steps[-2].weights)
+    return pred, tables.steps[-1].weights, "outside the modes or rows"
 
 
 def _negative(tables):
     pred = tables.steps[-1].predecessors.copy(order="F")
     pred[4, 1] = -1
-    return pred, tables.weight_rows, "predecessors outside rows"
+    return pred, tables.steps[-1].weights, "outside the modes or rows"
 
 
 def _outside_last_mode(tables):
@@ -345,38 +366,60 @@ def _outside_last_mode(tables):
     # sets), which has 3 (4) such rows to offset into
     pred = tables.steps[-1].predecessors.copy(order="F")
     pred[4, 0] = 5
-    return pred, tables.weight_rows, "outside the rows of their last mode"
+    return pred, tables.steps[-1].weights, "outside the rows of their last mode"
 
 
-def _weight_past_zero_row(tables):
-    weights = tables.weight_rows.copy(order="F")
+def _weight_past_zero_weight(tables):
+    weights = tables.steps[-1].weights.copy(order="F")
     weights[4, 1] = tables.modes + 1
-    return tables.steps[-1].predecessors, weights, "outside the rows of their last mode"
+    return tables.steps[-1].predecessors, weights, "outside the modes or rows"
 
 
-@pytest.mark.parametrize("corrupt", [_past_zero_row, _negative, _outside_last_mode, _weight_past_zero_row])
+def _negative_weight(tables):
+    weights = tables.steps[-1].weights.copy(order="F")
+    weights[4, 1] = -1
+    return tables.steps[-1].predecessors, weights, "outside the modes or rows"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_past_last_row, _negative, _outside_last_mode, _weight_past_zero_weight, _negative_weight]
+)
 @pytest.mark.parametrize("distinct", [False, True])
 def test_predecessor_check_refuses_rows_outside_the_degree_below(corrupt, distinct):
     # the kernel gathers predecessors with clipped indices, so this check is what catches them
     tables = _tables(enumerate_configurations(7, 3), distinct)
     _check_predecessors(tables)
     pred, weights, message = corrupt(tables)
-    steps = (*tables.steps[:-1], ExpansionStep(tables.steps[-1].modes, pred))
+    steps = (*tables.steps[:-1], ExpansionStep(weights, pred))
     with pytest.raises(RuntimeError, match=message):
-        _check_predecessors(dataclasses.replace(tables, steps=steps, weight_rows=weights))
+        _check_predecessors(dataclasses.replace(tables, steps=steps))
+
+
+def test_predecessor_check_covers_repeated_positions():
+    # a repeated position weighs zero, but its predecessor is still gathered
+    # inside the block, so it is held to the same rows: degree-2 row 2 is
+    # (1, 1), first read by the block of mode 1, which has 2 rows to offset into
+    tables = enumerate_configurations(7, 3).expansion
+    assert tables.steps[-1].weights[2].tolist() == [1, 7]
+    pred = tables.steps[-1].predecessors.copy(order="F")
+    pred[2, 1] = 2
+    steps = (*tables.steps[:-1], ExpansionStep(tables.steps[-1].weights, pred))
+    with pytest.raises(RuntimeError, match="outside the rows of their last mode"):
+        _check_predecessors(dataclasses.replace(tables, steps=steps))
 
 
 def test_enumeration_builds_no_table_of_the_space():
     # one (size, 4) intp table at (60,4) is 19 MB; the tables of degrees
-    # 1..3 and the block layout take 3.6 MB
+    # 0..3 and the head keep 3.5 MiB
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         space = enumerate_configurations(60, 4)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - base < space.size * 4 * np.dtype(np.intp).itemsize
+    assert kept - base <= 3.6 * 2**20
 
 
 def test_occupations_array(space_4_2):
@@ -453,6 +496,6 @@ def test_predecessor_check_refuses_a_head_row_outside_the_degree_below(distinct)
     # the head table of the last degree is gathered with clipped indices too
     tables = _tables(enumerate_configurations(7, 3), distinct)
     pred = tables.head.predecessors.copy(order="F")
-    pred[1, 0] = len(tables.steps[-1].modes) + 1
-    with pytest.raises(RuntimeError, match="predecessors outside rows"):
-        _check_predecessors(dataclasses.replace(tables, head=ExpansionStep(tables.head.modes, pred)))
+    pred[1, 0] = len(tables.steps[-1].weights)
+    with pytest.raises(RuntimeError, match="outside the modes or rows"):
+        _check_predecessors(dataclasses.replace(tables, head=ExpansionStep(tables.head.weights, pred)))
