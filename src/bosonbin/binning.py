@@ -6,38 +6,41 @@ floor(size / d) + 1 entries and the rest floor(size / d).
 
 Bin masses come by two routes, each the other's oracle: per-outcome values
 summed per bin (`bin_masses`, over the kernel's distributions or over drawn
-outcome counts), and `exact_bin_masses`, which sums classes of outcomes
-without enumerating the space. The kernel's work grows with the space size,
-the class route's with the photon and bin counts; `kernel_is_cheaper` picks
-one from the shape of the problem. Every route reads its label off its
-masses by one rule, `top_two`: the heaviest bin, the smallest label on ties.
+outcome counts), and `class_bin_masses`, which sums classes of outcomes
+without enumerating the space, for a block of seeds at once
+(`exact_bin_masses` is its one-seed call). The kernel's work grows with the
+space size, the class route's with the photon and bin counts;
+`kernel_is_cheaper` picks one from the shape of the problem and the number
+of seeds that share the classes. Every route reads its label off its masses
+by one rule, `top_two`: the heaviest bin, the smallest label on ties.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import groupby
 from typing import Any, Sequence
 
 import numpy as np
 
-from .distribution import NORMALIZATION_GUARD, ParticleStatistics, _expand
+from .distribution import NORMALIZATION_GUARD, SCAN_BYTES, ParticleStatistics, _expand
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     CapacityError,
     _colex_steps,
-    is_collision_free,
     space_size,
     unrank,
     validate_configuration,
 )
 from .linalg import _as_matrix
 
-# Fixed cost of one class of `exact_bin_masses` (two `_expand` calls and
-# their setup), counted in kernel outcomes: about 0.1 ms against about
-# 2e-7 s per outcome of the kernel, measured on a 2-core Xeon.
-CLASS_COST = 500
+# Costs of the class route in `kernel_is_cheaper`, counted in kernel steps
+# (one outcome times one photon, about 6 ns per seed in a scan block): one
+# `_expand` table entry of one seed (about 45 ns), and the fixed cost of one
+# class per block of seeds (its `_expand` calls and their setup, about
+# 150 us). Measured on a 2-core Xeon, one thread.
+TABLE_COST = 8
+CLASS_COST = 25_000
 
 
 @dataclass(frozen=True)
@@ -109,27 +112,9 @@ def exact_bin_masses(
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> np.ndarray:
     """Exact masses of the num_bins bins of one seed's output distribution,
-    without enumerating the space: the work grows with the photon and bin
-    counts, not with the space size (see `kernel_is_cheaper`).
-
-    A bin's mass is the difference of the prefix masses at its offsets. The
-    outcomes ranked below an outcome with sorted modes b form at most N
-    classes: class j keeps b's modes above position j (the multiset F of f
-    photons) and puts the other N - f photons anywhere in the modes S below
-    b_j. Every mode of S lies below every mode of F, so r! = F! r_S!. With
-    A the seed's photon columns of U, a Laplace expansion along the rows F
-    and the Binet-Cauchy theorem for the rows in S (Minc, Permanents, 1978)
-    give the boson class mass
-
-        sum over f-subsets T, T' of the seed photons of
-        conj(e_T') Per(G[T'^c, T^c]) e_T / (F! s!),
-        with e_T = Per(A[F, T]) and G = A_S^H A_S.
-
-    Fermions take determinants and the Laplace sign (-1)^(sum T).
-    Distinguishable particles take A = |U|^2 columns and need no G: their
-    class mass is sum_T e_T prod_{c not in T} (sum_{i in S} A[i, c]) / F!.
-    The e_T of a class are one `_expand` call, and so are all Gram
-    permanents.
+    without enumerating the space: `class_bin_masses` on a block of one seed.
+    The work grows with the photon and bin counts, not with the space size
+    (see `ClassPlan` for the method, `kernel_is_cheaper` for the cost).
 
     Raises CapacityError before any work when num_bins or the largest
     `_expand` table exceeds `limit`, and RuntimeError when the total mass
@@ -139,77 +124,246 @@ def exact_bin_masses(
     matrix = _as_matrix(unitary)
     modes = matrix.shape[0]
     seed_t = validate_configuration(seed, modes, sum(int(v) for v in seed))
-    photons = sum(seed_t)
-    if num_bins > limit:
-        raise CapacityError(f"{num_bins} bins exceed the limit of {limit}")
-    fermion = stats is ParticleStatistics.FERMION
-    gram = stats is not ParticleStatistics.DISTINGUISHABLE
-    if fermion and not is_collision_free(seed_t):
+    plan = ClassPlan(modes, sum(seed_t), (num_bins,), stats, limit)
+    return class_bin_masses(matrix, np.repeat(np.arange(modes), seed_t)[None], plan)[num_bins][0]
+
+
+class ClassPlan:
+    """The classes of every prefix mass of one (modes, photons) shape, for
+    each bin count of a list, with the subset tables their masses read:
+    built once and shared by every block of seeds (`class_bin_masses`).
+
+    A bin's mass is the difference of the prefix masses at its offsets. The
+    outcomes ranked below an outcome with sorted modes b form at most N
+    classes: class j keeps b's modes above position j (the multiset F of f
+    photons) and puts the other N - f photons anywhere in the modes S below
+    b_j (its bound). Every mode of S lies below every mode of F, so
+    r! = F! r_S!. With A the seed's photon columns of U, a Laplace expansion
+    along the rows F and the Binet-Cauchy theorem for the rows in S (Minc,
+    Permanents, 1978) give the boson class mass
+
+        sum over f-subsets T, T' of the seed photons of
+        conj(e_T') Per(G[T'^c, T^c]) e_T / (F! s!),
+        with e_T = Per(A[F, T]) and G = A_S^H A_S.
+
+    Fermions take determinants and the Laplace sign (-1)^(sum T).
+    Distinguishable particles take A = |U|^2 columns and need no G: their
+    class mass is sum_T e_T prod_{c not in T} (sum_{i in S} A[i, c]) / F!.
+
+    A class that serves several prefixes, or several bin counts, is one
+    class; the total mass (F empty, bound M) serves every bin count. G
+    depends on the bound alone and its minors on the bound and f, so the
+    classes are grouped by bound, then by f (`bounds`).
+
+    Raises CapacityError when a bin count or the largest `_expand` table
+    exceeds `limit`.
+    """
+
+    def __init__(
+        self,
+        modes: int,
+        photons: int,
+        bin_list: Sequence[int],
+        statistics: ParticleStatistics,
+        limit: int = DEFAULT_ENUMERATION_LIMIT,
+    ):
+        if max(bin_list) > limit:
+            raise CapacityError(f"{max(bin_list)} bins exceed the limit of {limit}")
+        self.modes, self.statistics = modes, statistics
+        self.gram = statistics is not ParticleStatistics.DISTINGUISHABLE
+        self.classes, self.prefixes = _route_classes(modes, photons, bin_list)
+        self.total = self.classes.index(((), modes))
+        largest = max(_table_entries(photons, len(fixed), self.gram) for fixed, _ in self.classes)
+        if largest > limit:
+            raise CapacityError(
+                f"exact bin masses of {photons} photons need a table of {largest} entries, "
+                f"exceeding the limit of {limit}"
+            )
+        self.factorials = [
+            math.prod(math.factorial(len(list(run))) for _, run in groupby(fixed)) for fixed, _ in self.classes
+        ]
+        groups: dict[int, dict[int, list[int]]] = {}
+        for c, (fixed, bound) in enumerate(self.classes):
+            groups.setdefault(bound, {}).setdefault(len(fixed), []).append(c)
+        self.bounds = [(bound, sorted(by_f.items())) for bound, by_f in sorted(groups.items())]
+        # per f: the tables of e_T and of the minors, the complements T^c
+        # (the minors' rows, in their order), the subsets T and their signs
+        self.tables = {}
+        for f in {len(fixed) for fixed, _ in self.classes}:
+            free = _colex_steps(photons, photons - f, distinct=True)
+            rest = free.rows()
+            keep = np.ones((len(rest), photons), dtype=bool)
+            keep[np.arange(len(rest))[:, None], rest] = False
+            subsets = np.nonzero(keep)[1].reshape(len(rest), f)
+            fixed_steps = _colex_steps(f, f, distinct=True) if f else None
+            self.tables[f] = (fixed_steps, free, rest, subsets, (-1.0) ** subsets.sum(axis=1))
+        self.width = _class_width(modes, photons, len(self.classes), largest)
+
+
+def class_bin_masses(matrix: np.ndarray, columns: np.ndarray, plan: ClassPlan) -> dict[int, np.ndarray]:
+    """Exact bin masses of many seeds under one matrix, {d: (seeds, d)} for
+    every bin count of `plan`, from a (seeds, N) array of each seed's sorted
+    photon modes.
+
+    Seeds run in blocks of plan.width, so a block's arrays stay within
+    SCAN_BYTES. Within a block every seed's columns sit side by side, offset
+    by seed x N: one `_expand` call gives every seed's e_T of a class, one
+    more every seed's Gram minors of a (bound, f) group, and one stacked
+    matmul every seed's G of a bound. Each of those is computed per seed in
+    a fixed order, so a seed's bits depend on neither its block's width nor
+    its place in it.
+
+    Raises ValueError for a fermion seed with a repeated mode, and
+    RuntimeError naming the first seed whose total mass misses 1 by more
+    than NORMALIZATION_GUARD (a matrix that is not unitary).
+    """
+    matrix, columns = np.asarray(matrix), np.asarray(columns, dtype=np.intp)
+    if plan.statistics is ParticleStatistics.FERMION and (columns[:, 1:] == columns[:, :-1]).any():
         raise ValueError("fermion seeds must be collision-free")
-    prefixes = _route_classes(modes, photons, num_bins)
-    largest = max(_table_entries(photons, len(fixed), gram) for classes in prefixes for fixed, _ in classes)
-    if largest > limit:
-        raise CapacityError(
-            f"exact bin masses of {photons} photons need a table of {largest} entries, "
-            f"exceeding the limit of {limit}"
-        )
-    columns = matrix[:, np.repeat(np.arange(modes), seed_t)]
-    if gram:
-        columns = columns.astype(np.complex128, copy=False)
-        norm = math.prod(math.factorial(v) for v in seed_t)
-    else:
-        columns, norm = np.abs(columns) ** 2, 1
-    steps = cache(lambda n, k: _colex_steps(n, k, distinct=True))
-    prefix = [
-        sum(_class_mass(columns, fixed, bound, steps, stats) for fixed, bound in classes) / norm
-        for classes in prefixes
-    ]
-    if not abs(prefix[-1] - 1.0) <= NORMALIZATION_GUARD:
-        raise RuntimeError(
-            f"distribution failed to normalize: sum={prefix[-1]!r} "
-            f"(seed {seed_t}, statistics {stats.value})"
-        )
-    return np.diff(prefix, prepend=0.0)
+    out = {d: np.empty((len(columns), d)) for d in plan.prefixes}
+    for lo in range(0, len(columns), plan.width):
+        block = columns[lo : lo + plan.width]
+        masses = _class_masses(matrix, block, plan)
+        total = masses[plan.total]
+        bad = np.flatnonzero(~(np.abs(total - 1.0) <= NORMALIZATION_GUARD))
+        if len(bad):
+            seed = tuple(int(v) for v in np.bincount(block[bad[0]], minlength=plan.modes))
+            raise RuntimeError(
+                f"distribution failed to normalize: sum={float(total[bad[0]])!r} "
+                f"(seed {seed}, statistics {plan.statistics.value})"
+            )
+        for d, prefixes in plan.prefixes.items():
+            prefix = np.stack([sum(masses[c] for c in classes) for classes in prefixes], axis=1)
+            out[d][lo : lo + len(block)] = np.diff(prefix, axis=1, prepend=0.0)
+    return out
+
+
+def _class_masses(matrix: np.ndarray, block: np.ndarray, plan: ClassPlan) -> np.ndarray:
+    """(classes, seeds) masses of every class of `plan` for a block of seeds."""
+    seeds, photons = block.shape
+    fermion = plan.statistics is ParticleStatistics.FERMION
+    at = matrix.T[block]  # (seeds, N, M): each seed's A^T
+    at = at.astype(np.complex128, copy=False) if plan.gram else np.abs(at) ** 2
+    offsets = np.arange(seeds)[:, None, None] * photons
+    masses = np.empty((len(plan.classes), seeds))
+    norm = _seed_factorials(block) if plan.gram else 1.0  # distinguishable masses carry no s!
+    for bound, groups in plan.bounds:
+        inside = at[:, :, :bound]
+        if plan.gram:
+            gram = np.matmul(inside.conj(), inside.transpose(0, 2, 1))  # (seeds, N, N): each seed's G
+            w = gram.transpose(1, 0, 2).reshape(photons, seeds * photons)
+        else:
+            sums = np.add.reduce(inside, axis=-1)  # (seeds, N)
+        for f, members in groups:
+            fixed_steps, free_steps, rest, subsets, signs = plan.tables[f]
+            count = len(rest)
+            if plan.gram:
+                cols = (rest + offsets).reshape(-1, photons - f)
+                # `_expand` multiplies a lone column of a one-entry table in
+                # place, which rounds unlike a wider block: it gets a twin
+                twin = np.concatenate([cols, cols]) if len(cols) == 1 else cols
+                minors = _expand(w, twin, free_steps, fermion)[:, : len(cols)].reshape(count, seeds, count)
+            else:
+                products = np.multiply.reduce(sums[:, rest], axis=-1)  # (seeds, C)
+            for c in members:
+                if f:
+                    weights = at[:, :, list(plan.classes[c][0])].transpose(2, 0, 1).reshape(f, -1)
+                    cols = (subsets + offsets).reshape(-1, f)
+                    e = _expand(weights, cols, fixed_steps, fermion).reshape(seeds, count)
+                else:
+                    e = np.ones((seeds, 1))
+                if fermion:
+                    e = e * signs
+                if plan.gram:
+                    inner = np.add.reduce(minors * e, axis=-1)  # (C, seeds): sum_T Per(G[T'^c, T^c]) e_T
+                    value = np.add.reduce(e.conj() * inner.T, axis=-1).real
+                else:
+                    value = np.add.reduce(e * products, axis=-1)
+                masses[c] = value / (plan.factorials[c] * norm)
+    return masses
+
+
+def _seed_factorials(block: np.ndarray) -> np.ndarray:
+    """s! of each seed of a (seeds, N) block of sorted photon modes."""
+    run = np.ones(len(block))
+    norm = np.ones(len(block))
+    for p in range(1, block.shape[1]):
+        run = np.where(block[:, p] == block[:, p - 1], run + 1, 1.0)
+        norm *= run
+    return norm
 
 
 def kernel_is_cheaper(
     modes: int,
     photons: int,
-    num_bins: int,
+    num_bins: "int | Sequence[int]",
     statistics: "str | ParticleStatistics" = ParticleStatistics.BOSON,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
+    seeds: int = 1,
 ) -> bool:
-    """Whether exact bin masses cost less from the kernel over the enumerated
-    space than from `exact_bin_masses`.
+    """Whether exact bin masses of `seeds` seeds under one unitary cost less
+    from the kernel over the enumerated space than from the class route
+    (`class_bin_masses`). num_bins is one bin count or every bin count of a
+    scan: one distribution serves them all, while each adds classes.
 
-    The kernel's cost is taken as the space size, the class route's as the
-    entries of its `_expand` tables plus CLASS_COST per class. Few photons
-    on many modes favour the classes, many photons on few modes the kernel:
-    at 4 bins, (60, 4) takes 1.4 ms by classes and 0.13 s by the kernel,
-    (4, 12) 0.75 s by classes and 1.1 ms by the kernel. A space above
-    `limit` is never enumerated.
+    Costs are counted per seed, in kernel steps (one outcome times one
+    photon): the kernel's is size x N. The class route's is TABLE_COST per
+    entry of its `_expand` tables, plus CLASS_COST per class, which the
+    seeds of a block share. So few photons on many modes, and scans of many
+    seeds, favour the classes; many photons on few modes favour the kernel.
+    A space above `limit` is never enumerated. CPU times on a 2-core Xeon,
+    one thread, of whole scans of one unitary over every seed at d = 2..5:
+
+    | (modes, photons) | seeds | kernel | classes | picked |
+    |---|---|---|---|---|
+    | (18, 4) | 5,985 | 0.74 s | 0.21 s | classes |
+    | (14, 4) | 2,380 | 0.13 s | 65 ms | classes |
+    | (18, 3) | 1,140 | 22 ms | 16 ms | classes |
+    | (10, 6) | 5,005 | 1.0 s | 1.2 s | kernel |
+    | (8, 8) | 6,435 | 3.2 s | 23 s | kernel |
+    | (8, 3) | 120 | 0.4 ms | 2.9 ms | kernel |
+
+    and of single seeds at 4 bins, the kernel with its enumeration: (60, 4)
+    16 ms against 2.6 ms by classes, (100, 3) 3.3 against 1.7 ms, (20, 6)
+    10 against 5.0 ms; (30, 4) 1.4 against 2.2 ms, (18, 4) 0.7 against
+    2.2 ms, (4, 12) 2 ms against 1.1 s.
     """
     size = space_size(modes, photons)
     if size > limit:
         return False
-    if size <= CLASS_COST * num_bins:  # each of the num_bins prefixes has a class
+    bin_list = (num_bins,) if isinstance(num_bins, (int, np.integer)) else tuple(num_bins)
+    kernel = size * photons
+    # every inner offset has a class of its own, so there are max(bin_list) classes or more
+    if kernel * seeds <= CLASS_COST * max(bin_list):
         return True
     gram = ParticleStatistics.from_string(statistics) is not ParticleStatistics.DISTINGUISHABLE
-    tables = [
-        _table_entries(photons, len(fixed), gram)
-        for classes in _route_classes(modes, photons, num_bins)
-        for fixed, _ in classes
-    ]
-    return size <= sum(tables) + CLASS_COST * len(tables)
+    classes, _ = _route_classes(modes, photons, bin_list)
+    tables = [_table_entries(photons, len(fixed), gram) for fixed, _ in classes]
+    shared = min(seeds, _class_width(modes, photons, len(classes), max(tables)))
+    return kernel <= TABLE_COST * sum(tables) + CLASS_COST * len(classes) / shared
 
 
-def _route_classes(modes: int, photons: int, num_bins: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """The classes of every prefix mass: one list per inner offset of the
-    partition, then the whole space (the total mass)."""
-    partition = make_partition(space_size(modes, photons), num_bins)
-    prefixes = [_prefix_classes(unrank(modes, photons, r)) for r in partition.offsets[1:-1]]
-    prefixes.append([((), modes)])
-    return prefixes
+def _route_classes(
+    modes: int, photons: int, bin_list: Sequence[int]
+) -> tuple[list[tuple[tuple[int, ...], int]], dict[int, list[list[int]]]]:
+    """The distinct classes (F, bound) of every prefix mass of every bin
+    count, in order of first use, and per bin count the classes of each
+    prefix: one list per inner offset of the partition, then the total."""
+    index: dict[tuple[tuple[int, ...], int], int] = {}
+    prefixes = {}
+    for d in bin_list:
+        offsets = make_partition(space_size(modes, photons), d).offsets[1:-1]
+        classes = [_prefix_classes(unrank(modes, photons, r)) for r in offsets] + [[((), modes)]]
+        prefixes[d] = [[index.setdefault(c, len(index)) for c in prefix] for prefix in classes]
+    return list(index), prefixes
+
+
+def _class_width(modes: int, photons: int, classes: int, largest: int) -> int:
+    """Seeds per block of the class route: as many as SCAN_BYTES holds, and
+    at least one. A seed takes its photon columns of U (twice, while they
+    are converted), its class masses, and about N + 3 arrays of its largest
+    `_expand` table (the expansion's degrees and gathers, the products)."""
+    return max(1, SCAN_BYTES // (16 * (2 * modes * photons + (photons + 3) * largest) + 8 * classes))
 
 
 def _prefix_classes(configuration: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -227,31 +381,6 @@ def _table_entries(photons: int, fixed: int, gram: bool) -> int:
     if gram:
         rows = max(rows, math.comb(photons, min(free, photons // 2)))
     return math.comb(photons, free) * rows
-
-
-def _class_mass(
-    columns: np.ndarray, fixed: tuple[int, ...], bound: int, steps, stats: ParticleStatistics
-) -> float:
-    """Mass of one class times the seed's s! (its norm in `exact_bin_masses`)."""
-    photons = columns.shape[1]
-    f = len(fixed)
-    fermion = stats is ParticleStatistics.FERMION
-    free_steps = steps(photons, photons - f)
-    rest = free_steps.rows()  # the complements T^c
-    keep = np.ones((len(rest), photons), dtype=bool)
-    keep[np.arange(len(rest))[:, None], rest] = False
-    subsets = np.nonzero(keep)[1].reshape(len(rest), f)  # the T
-    e = _expand(columns[list(fixed)], subsets, steps(f, f), fermion)[0] if f else np.ones(1)
-    fixed_factorial = math.prod(math.factorial(len(list(run))) for _, run in groupby(fixed))
-    inside = columns[:bound]
-    if stats is ParticleStatistics.DISTINGUISHABLE:
-        value = e @ inside.sum(axis=0)[rest].prod(axis=1)
-    else:
-        if fermion:
-            e = e * (-1.0) ** subsets.sum(axis=1)
-        minors = _expand(inside.conj().T @ inside, rest, free_steps, fermion)  # Per(G[T'^c, T^c])
-        value = np.vdot(e, minors @ e).real
-    return float(value) / fixed_factorial
 
 
 @dataclass(frozen=True)

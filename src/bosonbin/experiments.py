@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from . import rng as rng_policy
-from .binning import bin_masses, make_partition, top_two
+from .binning import ClassPlan, bin_masses, class_bin_masses, kernel_is_cheaper, make_partition, top_two
 from .distribution import ParticleStatistics, ScanWorkspace, _batch_probabilities, scan_width
 from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations
 from .io import atomic_write_text, write_json
@@ -295,24 +295,35 @@ def _mpb_scan(
     """Per-seed MPB label, p0 and p1 of the exact output distribution,
     for every requested bin count. Returns {d: (labels, p0, p1)}.
 
-    Each block is a (seeds, outcomes) array, so its bin sums run along
-    contiguous rows and release the GIL. Down the columns of (outcomes,
-    seeds) blocks `np.add.reduceat` held it: two (18,4) unitaries' sums
-    took as long on two threads (0.33 s) as on one (0.35 s), and the
-    threads' kernels waited on them.
+    The masses come by the cheaper route for this many seeds
+    (`kernel_is_cheaper`): the kernel's distributions in blocks of
+    `scan_width` seeds, summed per bin, or the class route
+    (`class_bin_masses`) in blocks of its own width, both within SCAN_BYTES.
+    Each kernel block is a (seeds, outcomes) array, so its bin sums run
+    along contiguous rows and release the GIL. Down the columns of
+    (outcomes, seeds) blocks `np.add.reduceat` held it: two (18,4)
+    unitaries' sums took as long on two threads (0.33 s) as on one
+    (0.35 s), and the threads' kernels waited on them.
     """
     if seed_indices is None:
         seed_indices = np.arange(space.size)
     count = len(seed_indices)
-    partitions = {d: make_partition(space.size, d) for d in bin_list}
     out = {
         d: (np.empty(count, dtype=np.int64), np.empty(count), np.empty(count)) for d in bin_list
     }
-    for lo, probs in _scan_blocks(matrix, space, seed_indices, statistics):
-        b = len(probs)
+    if kernel_is_cheaper(space.modes, space.photons, bin_list, statistics, space.size, count):
+        partitions = {d: make_partition(space.size, d) for d in bin_list}
+        blocks = (
+            (lo, {d: bin_masses(probs, partitions[d]) for d in bin_list})
+            for lo, probs in _scan_blocks(matrix, space, seed_indices, statistics)
+        )
+    else:
+        plan = ClassPlan(space.modes, space.photons, bin_list, statistics)
+        blocks = [(0, class_bin_masses(matrix, space.expansion.rows(seed_indices), plan))]
+    for lo, masses in blocks:
         for d in bin_list:
-            for column, values in zip(out[d], top_two(bin_masses(probs, partitions[d]))):
-                column[lo : lo + b] = values
+            for column, values in zip(out[d], top_two(masses[d])):
+                column[lo : lo + len(values)] = values
     return out
 
 

@@ -190,14 +190,19 @@ def unitary_to_json(unitary: UnitaryMatrix) -> dict:
 
 
 def unitary_from_json(data: dict) -> UnitaryMatrix:
+    """The unitary a payload describes. Refuses a mode count or Haar seed
+    that is not an integer, instead of rounding it to another unitary."""
     if data.get("kind") != "unitary":
         raise ValueError("not a unitary payload")
-    modes = int(data["modes"])
+    modes = data["modes"]
+    rng_policy._check_int("unitary.modes", modes, 1)
+    seed = data.get("haar_seed")
+    if seed is not None:
+        rng_policy._check_int("unitary.haar_seed", seed, 0)
     entries = data["entries"]
     if len(entries) != modes or any(len(row) != modes for row in entries):
         raise ValueError("entry grid does not match the declared mode count")
     m = np.array(
         [[complex(re, im) for re, im in row] for row in entries], dtype=np.complex128
     )
-    seed = data.get("haar_seed")
     return UnitaryMatrix(m, haar_seed=None if seed is None else int(seed), tag=data.get("tag", ""))

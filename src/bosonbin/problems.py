@@ -15,9 +15,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .binning import (
+    ClassPlan,
     MPBResult,
     bin_masses,
-    exact_bin_masses,
+    class_bin_masses,
     kernel_is_cheaper,
     make_partition,
     mpb_from_vector,
@@ -198,11 +199,12 @@ def evaluate_images(
 ) -> ImageVector:
     """MPB label of every seed's output distribution.
 
-    mode "exact" reads labels off `exact_bin_masses`, without enumerating
-    the space, unless `kernel_is_cheaper`: then, as in mode "sampled", the
-    space is enumerated once at `limit` and every seed runs the kernel over
-    it. "sampled" draws plan.n_min runs per seed (child generators split by
-    seed index, so the result is independent of thread scheduling).
+    mode "exact" reads labels off one `class_bin_masses` call for all the
+    seeds, without enumerating the space, unless `kernel_is_cheaper` for
+    that many seeds: then, as in mode "sampled", the space is enumerated
+    once at `limit` and every seed runs the kernel over it, on `threads`
+    threads. "sampled" draws plan.n_min runs per seed (child generators
+    split by seed index, so the result is independent of thread scheduling).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -218,17 +220,17 @@ def evaluate_images(
         if plan.num_bins != num_bins:
             raise ValueError(f"plan covers {plan.num_bins} bins, requested {num_bins}")
         children = rng.spawn(len(seeds))
-    kernel = mode == "sampled" or kernel_is_cheaper(modes, photon_count, num_bins, stats, limit)
-    if kernel:
-        space = enumerate_configurations(modes, photon_count, limit=limit)
-        partition = make_partition(space.size, num_bins)
+    if mode == "exact" and not kernel_is_cheaper(modes, photon_count, num_bins, stats, limit, len(seeds)):
+        classes = ClassPlan(modes, photon_count, (num_bins,), stats, limit)
+        columns = [np.repeat(np.arange(modes), validate_configuration(s, modes, photon_count)) for s in seeds]
+        masses = class_bin_masses(_as_matrix(unitary), np.array(columns), classes)[num_bins]
+        diagnostics = tuple(mpb_from_vector(row) for row in masses)
+        return ImageVector(labels=tuple(r.label for r in diagnostics), diagnostics=diagnostics)
+    space = enumerate_configurations(modes, photon_count, limit=limit)
+    partition = make_partition(space.size, num_bins)
     results: list[MPBResult | None] = [None] * len(seeds)
 
     def work(i: int) -> None:
-        if not kernel:
-            masses = exact_bin_masses(unitary, seeds[i], num_bins, statistics=stats, limit=limit)
-            results[i] = mpb_from_vector(masses)
-            return
         dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
         if mode == "exact":
             results[i] = mpb_from_vector(bin_masses(dist.probabilities, partition))
@@ -302,7 +304,8 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 def instance_from_json(data: dict) -> ProblemInstance:
     """The instance a problem file describes. Refuses a float, bool or string
-    where an integer field belongs, instead of rounding it to another instance."""
+    where an integer field belongs, instead of rounding it to another
+    instance, and a seed that is not a configuration string."""
     if data.get("kind_of_file") != "problem_instance":
         raise ValueError("not a problem-instance payload")
     unitary = None
@@ -315,11 +318,14 @@ def instance_from_json(data: dict) -> ProblemInstance:
     y = data.get("y", [])
     if not isinstance(y, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in y):
         raise ValueError(f"y must be a list of integers, got {y!r}")
+    seeds = data["seeds"]
+    if not isinstance(seeds, list) or any(not isinstance(s, str) for s in seeds):
+        raise ValueError(f'seeds must be a list of configuration strings like "1,0,2", got {seeds!r}')
     return ProblemInstance(
         modes=data["modes"],
         photons=data["photons"],
         num_bins=data["num_bins"],
-        seeds=tuple(parse_configuration(s) for s in data["seeds"]),
+        seeds=tuple(parse_configuration(s) for s in seeds),
         y=tuple(y),
         kind=str(data["kind"]),
         f_id=str(data["f_id"]),

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from bosonbin.binning import (
     BinPartition,
+    ClassPlan,
     bin_masses,
+    class_bin_masses,
     exact_bin_masses,
     kernel_is_cheaper,
     make_partition,
@@ -190,6 +192,15 @@ def test_partition_is_frozen():
         part.num_bins = 3
 
 
+def draw_unitary(draw, modes):
+    """A Haar unitary or a permutation matrix on `modes` modes."""
+    if draw(st.booleans()):
+        return haar_unitary_from_seed(modes, draw(st.integers(0, 2**16))).matrix
+    matrix = np.zeros((modes, modes), dtype=np.complex128)
+    matrix[draw(st.permutations(range(modes))), np.arange(modes)] = 1.0
+    return matrix
+
+
 @st.composite
 def bin_mass_cases(draw):
     """(matrix, seed, bin count) on 2 <= M <= 6 modes with N <= 4 photons:
@@ -199,11 +210,7 @@ def bin_mass_cases(draw):
     photons = draw(st.integers(1, 4))
     placed = draw(st.lists(st.integers(0, modes - 1), min_size=photons, max_size=photons))
     seed = tuple(placed.count(m) for m in range(modes))
-    if draw(st.booleans()):
-        matrix = haar_unitary_from_seed(modes, draw(st.integers(0, 2**16))).matrix
-    else:
-        matrix = np.zeros((modes, modes), dtype=np.complex128)
-        matrix[draw(st.permutations(range(modes))), np.arange(modes)] = 1.0
+    matrix = draw_unitary(draw, modes)
     size = space_size(modes, photons)
     return matrix, seed, draw(st.one_of(st.just(size), st.integers(2, size)))
 
@@ -226,6 +233,74 @@ def test_exact_bin_masses_match_the_kernel(case):
             outcomes = [tuple(map(int, r)) for r in space.occupations]
             direct = [transition_probability(matrix, seed, r, stats) for r in outcomes]
             assert np.allclose(masses, direct, rtol=0, atol=1e-13)
+
+
+@st.composite
+def class_block_cases(draw):
+    """(matrix, space, seed indices, bin counts, width) on 2 <= M <= 6 modes
+    with N <= 4 photons: Haar or permutation unitaries, blocks of seeds that
+    may bunch, up to three bin counts from 2 to the space size, and a block
+    width from 1 to the seed count."""
+    modes = draw(st.integers(2, 6))
+    photons = draw(st.integers(1, 4))
+    matrix = draw_unitary(draw, modes)
+    space = enumerate_configurations(modes, photons)
+    seeds = draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=12, unique=True))
+    bins = draw(st.lists(st.one_of(st.just(space.size), st.integers(2, space.size)), min_size=1, max_size=3, unique=True))
+    return matrix, space, np.array(seeds), tuple(bins), draw(st.integers(1, len(seeds)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_block_cases())
+def test_class_blocks_match_the_kernel_and_keep_each_seeds_bits(case):
+    # one batched call against the kernel's bin sums of every seed, and each
+    # seed's masses bit for bit alone, in blocks of another width and in
+    # reverse order
+    matrix, space, seeds, bins, width = case
+    for stats in ParticleStatistics:
+        picked = seeds
+        if stats is ParticleStatistics.FERMION:
+            picked = seeds[[is_collision_free(space.configuration(int(i))) for i in seeds]]
+            if not len(picked):
+                continue
+        plan = ClassPlan(space.modes, space.photons, bins, stats)
+        columns = space.expansion.rows(picked)
+        masses = class_bin_masses(matrix, columns, plan)
+        probs = _batch_probabilities(matrix, picked, space, stats)
+        for d in bins:
+            assert masses[d].shape == (len(picked), d)
+            assert np.allclose(masses[d], bin_masses(probs, make_partition(space.size, d)), rtol=0, atol=1e-13)
+        plan.width = width
+        reversed_masses = class_bin_masses(matrix, columns[::-1], plan)
+        for i in range(len(picked)):
+            alone = class_bin_masses(matrix, columns[i : i + 1], plan)
+            for d in bins:
+                assert np.array_equal(alone[d][0], masses[d][i])
+                assert np.array_equal(reversed_masses[d][len(picked) - 1 - i], masses[d][i])
+
+
+def test_class_blocks_at_scan_size_keep_each_seeds_bits():
+    # every (18,4) seed in blocks of the plan's width (several blocks, a
+    # partial last one), against seeds alone and in odd blocks of 7
+    space = enumerate_configurations(18, 4)
+    matrix = haar_unitary_from_seed(18, 8).matrix
+    plan = ClassPlan(18, 4, (2, 3, 4, 5), ParticleStatistics.BOSON)
+    assert 1 < plan.width < space.size
+    columns = space.expansion.rows()
+    masses = class_bin_masses(matrix, columns, plan)
+    picks = np.arange(3, space.size, space.size // 16)
+    plan.width = 7
+    odd = class_bin_masses(matrix, columns[picks[0] : picks[0] + 30], plan)
+    for d in plan.prefixes:
+        assert np.array_equal(odd[d], masses[d][picks[0] : picks[0] + 30])
+        for i in picks:
+            assert np.array_equal(class_bin_masses(matrix, columns[i : i + 1], plan)[d][0], masses[d][i])
+
+
+def test_class_blocks_refuse_a_bunched_fermion_seed():
+    plan = ClassPlan(4, 2, (3,), ParticleStatistics.FERMION)
+    with pytest.raises(ValueError, match="collision-free"):
+        class_bin_masses(identity_unitary(4).matrix, np.array([[0, 1], [2, 2]]), plan)
 
 
 def inline_rank(occupation):
@@ -323,7 +398,8 @@ def test_exact_bin_masses_check_normalization(stats):
     "modes,photons,bins,limit,kernel",
     [
         (60, 4, 4, 2_000_000, False),  # 595,665 outcomes against 13 small classes
-        (20, 6, 16, 2_000_000, False),
+        (20, 6, 4, 2_000_000, False),
+        (20, 6, 16, 2_000_000, True),  # 80 classes: 11 ms by the kernel against 11-16 ms
         (8, 3, 4, 2_000_000, True),  # 120 outcomes
         (8, 3, 4, 100, False),  # the space is above the limit
         (4, 12, 4, 2_000_000, True),  # 455 outcomes against Gram tables of 853,776 entries

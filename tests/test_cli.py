@@ -488,6 +488,51 @@ def test_problem_refuses_a_non_integer_field(tmp_path, capsys, key, value):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("seeds", [[1, 1, 1] + [0] * 12]),
+        ("seeds", ["1,1,1" + ",0" * 12, 7]),
+        ("seeds", "1,1,1" + ",0" * 12),
+        ("seeds", None),
+        ("unitary.modes", [15]),
+        ("unitary.modes", None),
+        ("unitary.modes", 15.0),
+        ("unitary.haar_seed", 2.5),
+        ("unitary.haar_seed", True),
+        ("unitary.haar_seed", [77]),
+        ("unitary.haar_seed", -1),
+    ],
+)
+def test_problem_refuses_a_malformed_field_by_name(tmp_path, capsys, key, value):
+    # each of these used to exit 4 with an internal error, or to answer
+    # another instance (a Haar seed of 2.5 or true read as 2 or 1)
+    path = Path(write_instance(tmp_path, haar_seed=None, unitary=haar_unitary_from_seed(15, 77)))
+    data = json.loads(path.read_text())
+    if key.startswith("unitary."):
+        data["unitary"][key.split(".")[1]] = value
+    else:
+        data[key] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "problem", str(path), "--solve")
+    assert code == 2
+    assert err.startswith(f"error: {key} must")
+    assert out == ""
+
+
+def test_problem_takes_a_null_nested_haar_seed(tmp_path, capsys):
+    unitary = haar_unitary_from_seed(15, 77)
+    path = Path(write_instance(tmp_path, haar_seed=None, unitary=unitary))
+    data = json.loads(path.read_text())
+    data["unitary"]["haar_seed"] = None
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "problem", str(path), "--solve")
+    assert code == 0
+    assert json.loads(out)["answer"] == json.loads(
+        run_cli(capsys, "problem", write_instance(tmp_path), "--solve")[1]
+    )["answer"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_problem_refuses_a_bad_thread_count(tmp_path, capsys, threads):
     code, out, err = run_cli(capsys, "problem", write_instance(tmp_path), "--solve", "--threads", threads)

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonbin import distribution
-from bosonbin.binning import make_partition
+from bosonbin import binning, distribution
+from bosonbin.binning import ClassPlan, make_partition
 from bosonbin.distribution import ParticleStatistics, ScanWorkspace, full_distribution, scan_width
 from bosonbin.experiments import (
     EXPERIMENT_DEFAULTS,
@@ -250,6 +250,86 @@ def test_scan_calls_the_kernel_through_the_experiments_module(monkeypatch):
     for seeds in per_unitary.values():
         blocks = math.ceil(space.size / scan_width(space, ParticleStatistics.BOSON))
         assert len(seeds) == blocks and sum(seeds) == space.size
+
+
+class _Route(Exception):
+    pass
+
+
+def _scan_route(space, bin_list, seed_indices, statistics):
+    """The route `_mpb_scan` takes, stopped before it computes anything."""
+    import bosonbin.experiments as experiments
+
+    def stop(route):
+        def call(*args, **kwargs):
+            raise _Route(route)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(_Route) as route:
+        patch.setattr(experiments, "_scan_blocks", stop("kernel"))
+        patch.setattr(experiments, "class_bin_masses", stop("classes"))
+        _mpb_scan(np.eye(space.modes, dtype=np.complex128), space, bin_list, seed_indices, statistics)
+    return str(route.value)
+
+
+# The route of every default scan cell, at the seeds its experiment scans:
+# the faster one in CPU time on a 2-core Xeon (`binning.kernel_is_cheaper`)
+DEFAULT_ROUTES = {
+    ("mpb_seed_scan", 15, 3): "kernel",  # its first 50 seeds
+    ("bin_fraction", 18, 2): "kernel",
+    ("bin_fraction", 18, 3): "classes",
+    ("bin_fraction", 18, 4): "classes",
+    ("pmax_histogram", 18, 4): "classes",
+    ("gap_fraction", 18, 4): "classes",
+    ("collision", 16, 2): "kernel",  # every statistics, collision-free seeds
+    ("collision", 18, 2): "kernel",
+    ("collision", 22, 3): "classes",
+    ("collision", 25, 3): "classes",
+}
+
+
+def test_default_scan_cells_take_the_measured_route():
+    routes = {}
+    for experiment, defaults in EXPERIMENT_DEFAULTS.items():
+        if experiment in ("maxprob_scaling", "ryser_benchmark"):  # no label scan
+            continue
+        cells = defaults.get("cells") or [
+            (defaults["modes"], n) for n in defaults.get("photon_list", [defaults.get("photons")])
+        ]
+        for modes, photons in cells:
+            space = enumerate_configurations(modes, photons)
+            seeds, stats = np.arange(space.size), [ParticleStatistics.BOSON]
+            if experiment == "mpb_seed_scan":
+                seeds = seeds[: defaults["seed_limit"]]
+            if experiment == "collision":
+                seeds, stats = space.collision_free_indices, list(ParticleStatistics)
+            found = {_scan_route(space, defaults["bin_list"], seeds, s) for s in stats}
+            assert len(found) == 1, (experiment, modes, photons, found)
+            routes[(experiment, modes, photons)] = found.pop()
+    assert routes == DEFAULT_ROUTES
+
+
+@pytest.mark.parametrize("modes,photons", [(10, 6), (8, 8), (7, 3), (8, 3)])
+def test_small_or_photon_dense_scans_take_the_kernel(modes, photons):
+    space = enumerate_configurations(modes, photons)
+    assert _scan_route(space, (2, 3, 4, 5), np.arange(space.size), ParticleStatistics.BOSON) == "kernel"
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_class_scan_checks_normalization_of_every_seed(statistics, monkeypatch):
+    # only seeds with a photon in mode 17 lose normalization; the first in
+    # code order is named, from inside a scan on the class route
+    space = enumerate_configurations(18, 3)
+    seeds = space.collision_free_indices if statistics is ParticleStatistics.FERMION else np.arange(space.size)
+    monkeypatch.setattr(binning, "SCAN_BYTES", 2**18)  # several class blocks
+    assert _scan_route(space, (2, 3), seeds, statistics) == "classes"
+    assert ClassPlan(18, 3, (2, 3), statistics).width < len(seeds) // 4
+    matrix = np.eye(18, dtype=np.complex128)
+    matrix[17, 17] = 1.5
+    first = "1, 1" if statistics is ParticleStatistics.FERMION else "2"
+    with pytest.raises(RuntimeError, match=rf"failed to normalize.*seed \({first}, 0, .*, 0, 1\)"):
+        _mpb_scan(matrix, space, (2, 3), seeds, statistics)
 
 
 @pytest.mark.parametrize("statistics", list(ParticleStatistics))
