@@ -34,7 +34,8 @@ NORMALIZATION_GUARD = 1e-6
 # Bytes of one scan thread's workspace: what 16 seeds of the (18,4) boson
 # kernel took while the last degree had tables. A scan block takes as many
 # seeds as fit (`scan_width`), 25 at (18,4), and a block of the class route
-# as many as its arrays let fit (`binning.ClassPlan`), 864 at (18,4). Each
+# as many as its arrays let fit in half, a quarter left to its mode tables
+# (`binning.ClassPlan`): 744 boson seeds at (18,4). Each
 # blocked mode of the last degree makes 3 N - 2 numpy calls per block
 # whatever the block's width, so narrow blocks of small spaces are mostly
 # call overhead.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from bosonbin.binning import (
     BinPartition,
     ClassPlan,
+    _colex_subsets,
+    _minor_terms,
+    _minors,
     bin_masses,
     class_bin_masses,
     exact_bin_masses,
@@ -18,13 +22,14 @@ from bosonbin.binning import (
     mpb_from_vector,
 )
 from bosonbin.distribution import (
+    SCAN_BYTES,
     ParticleStatistics,
     _batch_probabilities,
     full_distribution,
     transition_probability,
 )
 from bosonbin.fock import DEFAULT_ENUMERATION_LIMIT, enumerate_configurations, is_collision_free, space_size
-from bosonbin.linalg import haar_unitary_from_seed, identity_unitary
+from bosonbin.linalg import determinant, haar_unitary_from_seed, identity_unitary, permanent_ryser
 
 
 @pytest.mark.parametrize(
@@ -301,6 +306,97 @@ def test_class_blocks_refuse_a_bunched_fermion_seed():
     plan = ClassPlan(4, 2, (3,), ParticleStatistics.FERMION)
     with pytest.raises(ValueError, match="collision-free"):
         class_bin_masses(identity_unitary(4).matrix, np.array([[0, 1], [2, 2]]), plan)
+
+
+@pytest.mark.parametrize("photons", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("fermion", [False, True], ids=["permanent", "determinant"])
+def test_minors_pass_matches_each_minor(photons, fermion):
+    # every k x k minor, k = 1..N, of three seeds' G in one pass, against
+    # permanent_ryser or determinant of the submatrix, to rounding of the
+    # size of Per(|submatrix|); the third G is a bunched seed's, with two
+    # equal rows and two equal columns
+    rng = np.random.default_rng(photons)
+    grams = rng.normal(size=(3, photons, photons)) + 1j * rng.normal(size=(3, photons, photons))
+    columns = rng.normal(size=(7, photons)) + 1j * rng.normal(size=(7, photons))
+    columns[:, -1] = columns[:, 0]
+    grams[2] = columns.conj().T @ columns
+    subsets = _colex_subsets(photons)
+    levels = [
+        (k, _minor_terms(subsets, k, photons if k == 2 else math.comb(photons, k - 1), math.comb(photons, k)))
+        for k in range(2, photons + 1)
+    ]
+    largest = max(math.comb(photons, k) ** 2 for k in range(1, photons + 1))
+    buffers = [np.empty(3 * largest, dtype=np.complex128) for _ in range(3)]
+    found = _minors(grams.reshape(3, -1).T.copy(), levels, fermion, buffers)
+    oracle = determinant if fermion else permanent_ryser
+    for k in range(1, photons + 1):
+        rows = subsets[k][0]
+        minors = found[k].reshape(len(rows), len(rows), 3)
+        for seed in range(3):
+            for r, c in itertools.product(range(len(rows)), repeat=2):
+                sub = grams[seed][np.ix_(rows[r], rows[c])]
+                scale = permanent_ryser(np.abs(sub)).real
+                assert minors[r, c, seed] == pytest.approx(oracle(sub), rel=1e-12, abs=1e-14 * scale)
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_class_masses_keep_a_seeds_bits_among_seeds_on_other_modes(statistics):
+    # a seed's masses alone and in calls whose other seeds use other modes,
+    # so its modes sit elsewhere in the call's tables, in chunks and blocks
+    # of several widths: byte for byte
+    matrix = haar_unitary_from_seed(12, 21).matrix
+    plan = ClassPlan(12, 3, (2, 5, 7), statistics)
+    others = np.array([[0, 1, 3], [8, 10, 11], [1, 4, 9], [6, 9, 11], [3, 4, 5]])
+    targets = [[2, 5, 7]] if statistics is ParticleStatistics.FERMION else [[2, 5, 7], [2, 2, 7], [11, 11, 11]]
+    for target in np.array(targets):
+        alone = class_bin_masses(matrix, target[None], plan)
+        calls = [
+            (np.concatenate([others, target[None]]), len(others)),
+            (np.concatenate([target[None], others[::-1]]), 0),
+            (np.concatenate([others[:2], target[None], others[2:]]), 2),
+        ]
+        for plan.width, plan.chunk in [(100, 100), (2, 3), (1, 1), (3, 2)]:
+            for columns, at in calls:
+                masses = class_bin_masses(matrix, columns, plan)
+                for d in plan.prefixes:
+                    assert np.array_equal(masses[d][at], alone[d][0])
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_class_route_makes_no_blas_call(statistics, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class route called BLAS")
+
+    for name in ("matmul", "dot", "vdot", "inner", "tensordot", "einsum"):
+        monkeypatch.setattr(np, name, refuse)
+    space = enumerate_configurations(12, 4)
+    seeds = space.collision_free_indices if statistics is ParticleStatistics.FERMION else np.arange(space.size)
+    plan = ClassPlan(12, 4, (2, 3, 4, 5), statistics)
+    masses = class_bin_masses(haar_unitary_from_seed(12, 3).matrix, space.expansion.rows(seeds), plan)
+    assert np.allclose(masses[5].sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("statistics", list(ParticleStatistics))
+def test_class_call_peak_memory(statistics):
+    # every (18,4) seed in one chunk of several blocks: a block's arrays fit
+    # half of SCAN_BYTES and the call's mode tables a quarter (and SCAN_BYTES
+    # while they are built), so the call peaks within SCAN_BYTES and the
+    # masses it returns
+    space = enumerate_configurations(18, 4)
+    seeds = space.collision_free_indices if statistics is ParticleStatistics.FERMION else np.arange(space.size)
+    columns = space.expansion.rows(seeds)
+    matrix = haar_unitary_from_seed(18, 4).matrix
+    plan = ClassPlan(18, 4, (2, 3, 4, 5), statistics)
+    assert plan.width < len(columns) <= plan.chunk
+    class_bin_masses(matrix, columns[:1], plan)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        masses = class_bin_masses(matrix, columns, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < SCAN_BYTES + sum(m.nbytes for m in masses.values())
 
 
 def inline_rank(occupation):

@@ -396,8 +396,10 @@ PINNED_DIGESTS = {
     # a last degree of one entry, multiplied in place as the full tables did
     "6x6 fermion": "1401c96fc091bc0d7b721812a2befd2f726be056ea53e785f58c73aa46e9c793",
     # the class route on a block of one seed; re-pinned when the route was
-    # batched over seeds (the largest move of a mass: 1.7e-18)
-    "5x5 fermion exact bin masses": "7072c678faf94144e820a8ce37ae506c4dd48f0c76a0494c5e8ed6f4dbaafe49",
+    # batched over seeds (the largest move of a mass: 1.7e-18), and when its
+    # Gram and e_T tables were built once per call and its minors in one
+    # subset pass (4.4e-16)
+    "5x5 fermion exact bin masses": "5bfdabb0e007ae9869c7d508f7f4642a8cc1912cffc02d1de7e322add5cc0e4b",
     # a head of one row: its one-element products are made out of place, as
     # the full tables made them in longer arrays
     "4x2 fermion": "4d7c5acd6094da8654093c6661c4a9fcdf1975bc4a089777c33fe877836c3d94",

@@ -310,7 +310,9 @@ def test_default_scan_cells_take_the_measured_route():
     assert routes == DEFAULT_ROUTES
 
 
-@pytest.mark.parametrize("modes,photons", [(10, 6), (8, 8), (7, 3), (8, 3)])
+# (9,7): 2.2 s by the kernel against 2.7 s by classes (CPU time, one
+# thread); (10,6) takes the classes, 0.50 s against 0.99 s
+@pytest.mark.parametrize("modes,photons", [(9, 7), (8, 8), (7, 3), (8, 3)])
 def test_small_or_photon_dense_scans_take_the_kernel(modes, photons):
     space = enumerate_configurations(modes, photons)
     assert _scan_route(space, (2, 3, 4, 5), np.arange(space.size), ParticleStatistics.BOSON) == "kernel"
