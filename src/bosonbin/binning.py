@@ -23,7 +23,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .distribution import NORMALIZATION_GUARD, SCAN_BYTES, ParticleStatistics, _expand
+from .distribution import SCAN_BYTES, ParticleStatistics, _check_normalization, _expand
 from .fock import (
     DEFAULT_ENUMERATION_LIMIT,
     CapacityError,
@@ -34,6 +34,7 @@ from .fock import (
     validate_configuration,
 )
 from .linalg import _as_matrix
+from .rng import _check_int
 
 # Costs of the class route in `kernel_is_cheaper`, counted in kernel steps
 # (one outcome times one photon, about 4.6 ns per seed in a scan block): one
@@ -54,10 +55,8 @@ class BinPartition:
 
 
 def make_partition(space_size: int, num_bins: int) -> BinPartition:
-    if not isinstance(space_size, (int, np.integer)) or not isinstance(num_bins, (int, np.integer)):
-        raise ValueError("space_size and num_bins must be integers")
-    if num_bins < 2:
-        raise ValueError(f"need at least 2 bins, got {num_bins}")
+    _check_int("space_size", space_size, 0)
+    _check_int("num_bins", num_bins, 2)
     if num_bins > space_size:
         raise ValueError(f"cannot split {space_size} outcomes into {num_bins} nonempty bins")
     base, extra = divmod(int(space_size), int(num_bins))
@@ -251,18 +250,11 @@ def class_bin_masses(matrix: np.ndarray, columns: np.ndarray, plan: ClassPlan) -
         for lo in range(0, len(chunk), plan.width):
             hi = min(lo + plan.width, len(chunk))
             masses = _class_masses(tables, lo, hi, plan)
-            total = masses[plan.total]
-            bad = np.flatnonzero(~(np.abs(total - 1.0) <= NORMALIZATION_GUARD))
-            if len(bad):
-                seed = tuple(int(v) for v in np.bincount(chunk[lo + bad[0]], minlength=plan.modes))
-                raise RuntimeError(
-                    f"distribution failed to normalize: sum={float(total[bad[0]])!r} "
-                    f"(seed {seed}, statistics {plan.statistics.value})"
-                )
+            _check_normalization(masses[plan.total], chunk[lo:hi], plan.modes, plan.statistics)
             for d, prefixes in plan.prefixes.items():
                 prefix = np.stack([sum(masses[c] for c in classes) for classes in prefixes], axis=1)
                 out[d][start + lo : start + hi] = np.diff(prefix, axis=1, prepend=0.0)
-            del masses, total  # spent before the next block's arrays are made
+            del masses  # spent before the next block's arrays are made
         del tables  # spent before the next chunk's are built
     return out
 

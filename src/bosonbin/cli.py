@@ -23,7 +23,7 @@ from .linalg import (
     unitary_from_json,
 )
 from .problems import decide, evaluate_images, instance_from_json, solve_function
-from .rng import generator
+from .rng import _check, _check_int, generator
 from .sampling import chernoff_sample_size, estimate_mpb
 
 
@@ -62,7 +62,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    seed = parse_configuration(args.seed_config)
+    seed = parse_configuration(args.seed_config, "--seed-config")
     unitary = _resolve_unitary(args, len(seed))
     dist = full_distribution(unitary, seed, statistics=args.statistics, limit=args.limit)
     dist.to_csv(args.out)
@@ -71,7 +71,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_mpb(args: argparse.Namespace) -> int:
-    seed = parse_configuration(args.seed_config)
+    seed = parse_configuration(args.seed_config, "--seed-config")
     unitary = _resolve_unitary(args, len(seed))
     payload = {
         "schema_version": 1,
@@ -157,8 +157,7 @@ def cmd_problem(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     data = read_json(args.config) if args.config else {}
-    if not isinstance(data, dict):
-        raise ValueError("experiment config must be a JSON object")
+    _check("experiment config", data, {})
     data["experiment"] = args.experiment_id
     if args.master_seed is not None:
         data["master_seed"] = args.master_seed
@@ -242,6 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "limit"):
+            _check_int("limit", args.limit, 1)
         return args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

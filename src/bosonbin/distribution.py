@@ -317,14 +317,22 @@ def _batch_probabilities(
             # the squares are spent, so their buffer takes the factorial ratios
             ratio = _view(workspace.coefs[-1].view(np.float64), block, space.size)
             probs *= np.divide(fp, fp[seed_indices, None], out=ratio)
-    totals = probs.sum(axis=1)
+    _check_normalization(probs.sum(axis=1), columns, space.modes, statistics)
+    return probs
+
+
+def _check_normalization(
+    totals: np.ndarray, columns: np.ndarray, modes: int, statistics: ParticleStatistics
+) -> None:
+    """Raise RuntimeError naming the first seed (row of `columns`, its sorted
+    photon modes) whose total mass misses 1 by more than NORMALIZATION_GUARD."""
     bad = np.flatnonzero(~(np.abs(totals - 1.0) <= NORMALIZATION_GUARD))
     if len(bad):
+        seed = tuple(int(v) for v in np.bincount(columns[bad[0]], minlength=modes))
         raise RuntimeError(
             f"distribution failed to normalize: sum={float(totals[bad[0]])!r} "
-            f"(seed {space.configuration(int(seed_indices[bad[0]]))}, statistics {statistics.value})"
+            f"(seed {seed}, statistics {statistics.value})"
         )
-    return probs
 
 
 @dataclass(eq=False)

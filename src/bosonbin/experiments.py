@@ -23,7 +23,7 @@ from .distribution import ParticleStatistics, ScanWorkspace, _batch_probabilitie
 from .fock import DEFAULT_ENUMERATION_LIMIT, FockSpace, collision_free_count, enumerate_configurations
 from .io import atomic_write_text, write_json
 from .linalg import haar_unitary, permanent_ryser, submatrix
-from .rng import _check_int, _thread_map
+from .rng import _check, _thread_map
 
 REFERENCE_FLOPS = 1e9
 
@@ -146,17 +146,13 @@ class ExperimentConfig:
                 f"its settings: {', '.join(settings)}"
             )
         for key, value in self.settings.items():
-            if not _fits(value, defaults[key]):
-                raise ValueError(f"{key} must be {_kind(defaults[key])}, got {value!r}")
-        for key, least in (("master_seed", 0), ("threads", 1), ("limit", 1)):
-            _check_int(key, getattr(self, key), least)
-        if not isinstance(self.quick, bool):
-            raise ValueError(f"quick must be true or false, got {self.quick!r}")
+            least = 1 if key in ("unitary_count", "seed_limit", "seed_sample") else None
+            _check(key, value, defaults[key], least)
+        run_fields = (("master_seed", 0, 0), ("threads", 1, 1), ("limit", 1, 1), ("quick", False, None))
+        for key, example, least in run_fields:
+            _check(key, getattr(self, key), example, least)
         eff = {k: defaults.get(f"quick_{k}" if self.quick else k, defaults[k]) for k in settings}
         eff.update(self.settings)
-        for key in ("unitary_count", "seed_limit", "seed_sample"):
-            if key in eff and eff[key] < 1:
-                raise ValueError(f"{key} must be >= 1, got {eff[key]}")
         for key in ("photon_list", "bin_list", "epsilon_list", "cells", "pairs"):
             if key in eff and len(eff[key]) == 0:
                 raise ValueError(f"{key} must not be empty")
@@ -176,25 +172,6 @@ class ExperimentConfig:
         if "experiment" not in data or "master_seed" not in data:
             raise ValueError("experiment config needs 'experiment' and 'master_seed'")
         return cls(**data)
-
-
-def _fits(value: Any, default: Any) -> bool:
-    """Whether a setting has its default's type: no bool anywhere, an int or
-    a float for a float, and for a tuple a list or tuple whose items fit its
-    first item."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
-    kinds = (int, float) if isinstance(default, float) else type(default)
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _kind(default: Any, plural: bool = False) -> str:
-    """The type _fits asks for, in words: "an integer", "a list of lists of integers"."""
-    if isinstance(default, tuple):
-        noun = "list" + "s" * plural + " of " + _kind(default[0], True)
-    else:
-        noun = {int: "integer", float: "number", str: "string"}[type(default)] + "s" * plural
-    return noun if plural else ("an " if noun[0] in "aeiou" else "a ") + noun
 
 
 def _plain(value: Any) -> Any:

@@ -25,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .rng import _check_int
+
 DEFAULT_ENUMERATION_LIMIT = 2_000_000
 
 
@@ -33,12 +35,8 @@ class CapacityError(RuntimeError):
 
 
 def _validate_dims(modes: int, photons: int) -> None:
-    if not isinstance(modes, (int, np.integer)) or not isinstance(photons, (int, np.integer)):
-        raise ValueError("modes and photons must be integers")
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    if photons < 1:
-        raise ValueError(f"photons must be >= 1, got {photons}")
+    _check_int("modes", modes, 1)
+    _check_int("photons", photons, 1)
 
 
 def space_size(modes: int, photons: int) -> int:
@@ -121,15 +119,16 @@ def format_configuration(configuration: Sequence[int]) -> str:
     return ",".join(str(int(v)) for v in configuration)
 
 
-def parse_configuration(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated occupation list like ``"1,0,2"``."""
+def parse_configuration(text: str, key: str = "configuration") -> tuple[int, ...]:
+    """Parse a comma-separated occupation list like ``"1,0,2"``; a refusal
+    names `key`, the field the text came from."""
     parts = [p.strip() for p in text.split(",")]
     try:
         t = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise ValueError(f"malformed configuration {text!r}") from exc
+        raise ValueError(f'{key} must be comma-separated occupations like "1,0,2", got {text!r}') from exc
     if any(v < 0 for v in t):
-        raise ValueError(f"occupations must be nonnegative, got {text!r}")
+        raise ValueError(f"{key} must hold nonnegative occupations, got {text!r}")
     return t
 
 

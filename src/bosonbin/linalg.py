@@ -55,7 +55,7 @@ class UnitaryMatrix:
         if m.shape[0] < 1:
             raise ValueError("unitary must have at least one mode")
         dev = unitarity_deviation(m)
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:
             raise ValueError(
                 f"matrix is not unitary within {UNITARITY_TOL:g} "
                 f"(max deviation {dev:.3e})"
@@ -79,8 +79,7 @@ def haar_unitary(modes: int, rng: np.random.Generator) -> UnitaryMatrix:
     pushed into Q so the distribution is exactly Haar rather than the raw
     QR output.
     """
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
+    rng_policy._check_int("modes", modes, 1)
     z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
     q, r = np.linalg.qr(z / math.sqrt(2.0))
     diag = np.diagonal(r)
@@ -189,20 +188,28 @@ def unitary_to_json(unitary: UnitaryMatrix) -> dict:
     }
 
 
-def unitary_from_json(data: dict) -> UnitaryMatrix:
-    """The unitary a payload describes. Refuses a mode count or Haar seed
-    that is not an integer, instead of rounding it to another unitary."""
+# key: (example, least, required) for rng._check_fields; entries hold [re, im] pairs
+UNITARY_FIELDS = {
+    "schema_version": (1, 1, False),
+    "modes": (1, 1, True),
+    "haar_seed": (0, 0, None),
+    "tag": ("", None, None),
+    "entries": ((((0.0,),),), None, True),
+}
+
+
+def unitary_from_json(data: Any) -> UnitaryMatrix:
+    """The unitary a payload describes. Refuses a field that does not fit
+    UNITARY_FIELDS, instead of rounding it to another unitary, by its key."""
+    rng_policy._check("unitary", data, {})
     if data.get("kind") != "unitary":
-        raise ValueError("not a unitary payload")
-    modes = data["modes"]
-    rng_policy._check_int("unitary.modes", modes, 1)
-    seed = data.get("haar_seed")
-    if seed is not None:
-        rng_policy._check_int("unitary.haar_seed", seed, 0)
-    entries = data["entries"]
-    if len(entries) != modes or any(len(row) != modes for row in entries):
-        raise ValueError("entry grid does not match the declared mode count")
-    m = np.array(
-        [[complex(re, im) for re, im in row] for row in entries], dtype=np.complex128
-    )
-    return UnitaryMatrix(m, haar_seed=None if seed is None else int(seed), tag=data.get("tag", ""))
+        raise ValueError(f"unitary.kind must be 'unitary', got {data.get('kind')!r}")
+    rng_policy._check_fields(data, UNITARY_FIELDS, "unitary.")
+    modes, entries = data["modes"], data["entries"]
+    if len(entries) != modes or any(len(row) != modes or any(len(v) != 2 for v in row) for row in entries):
+        raise ValueError(f"unitary.entries must be a {modes} x {modes} grid of [re, im] pairs")
+    m = np.array([[complex(re, im) for re, im in row] for row in entries], dtype=np.complex128)
+    try:
+        return UnitaryMatrix(m, haar_seed=data.get("haar_seed"), tag=data.get("tag", ""))
+    except ValueError as exc:
+        raise ValueError(f"unitary.entries must form a unitary: {exc}") from None

@@ -42,7 +42,7 @@ from .linalg import (
     unitary_from_json,
     unitary_to_json,
 )
-from .rng import _check_int, _thread_map
+from .rng import _check, _check_fields, _check_int, _thread_map
 from .sampling import SamplePlan, estimate_mpb
 
 MAX_SEED_FRACTION = 0.1
@@ -145,7 +145,7 @@ class ProblemInstance:
             raise ValueError(f"kind must be 'function' or 'decision', got {self.kind!r}")
         registry = FUNCTIONS if self.kind == "function" else PREDICATES
         if self.f_id not in registry:
-            raise ValueError(f"unknown {self.kind} id {self.f_id!r}")
+            raise ValueError(f"f_id must name a {self.kind}: {', '.join(registry)}; got {self.f_id!r}")
         object.__setattr__(
             self, "seeds", tuple(validate_configuration(s, self.modes, self.photons) for s in self.seeds)
         )
@@ -166,7 +166,7 @@ class ProblemInstance:
             if not 0 <= self.y[1] < len(self.seeds):
                 raise ValueError("indexed_outcome selector j must address a seed")
         if (self.haar_seed is None) == (self.unitary is None):
-            raise ValueError("provide exactly one of haar_seed or an explicit unitary")
+            raise ValueError("haar_seed must be given if and only if no explicit unitary is")
         if self.unitary is not None and self.unitary.modes != self.modes:
             raise ValueError(
                 f"unitary has {self.unitary.modes} modes, instance declares {self.modes}"
@@ -262,8 +262,7 @@ def joint_success_probability(p_col: float, seed_count: int) -> float:
     """Probability that all seeds label consistently, assuming independence."""
     if not 0.0 <= p_col <= 1.0:
         raise ValueError(f"p_col must lie in [0, 1], got {p_col}")
-    if not isinstance(seed_count, (int, np.integer)) or seed_count < 1:
-        raise ValueError(f"seed_count must be a positive integer, got {seed_count}")
+    _check_int("seed_count", seed_count, 1)
     return float(p_col) ** int(seed_count)
 
 
@@ -275,8 +274,7 @@ def draw_problem_seeds(
 ) -> tuple[tuple[int, ...], ...]:
     """Draw `count` distinct seed configurations uniformly, without replacement."""
     pool = space.collision_free_indices if collision_free_only else np.arange(space.size)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_int("count", count, 1)
     if count > len(pool):
         raise ValueError(f"cannot draw {count} distinct seeds from {len(pool)} candidates")
     picks = rng.choice(len(pool), size=count, replace=False)
@@ -302,33 +300,37 @@ def instance_to_json(instance: ProblemInstance) -> dict:
     return payload
 
 
-def instance_from_json(data: dict) -> ProblemInstance:
-    """The instance a problem file describes. Refuses a float, bool or string
-    where an integer field belongs, instead of rounding it to another
-    instance, and a seed that is not a configuration string."""
+# key: (example, least, required) for rng._check_fields
+PROBLEM_FIELDS = {
+    "schema_version": (1, 1, False),
+    "modes": (1, 1, True),
+    "photons": (1, 1, True),
+    "num_bins": (2, 2, True),
+    "kind": ("", None, True),
+    "f_id": ("", None, True),
+    "y": ((0,), None, False),
+    "seeds": (("",), None, True),
+    "haar_seed": (0, 0, None),
+    "unitary": ({}, None, False),
+}
+
+
+def instance_from_json(data: Any) -> ProblemInstance:
+    """The instance a problem file describes. Refuses a field that does not
+    fit PROBLEM_FIELDS, instead of rounding it to another instance, by its
+    key; seeds are configuration strings like "1,0,2"."""
+    _check("problem file", data, {})
     if data.get("kind_of_file") != "problem_instance":
-        raise ValueError("not a problem-instance payload")
-    unitary = None
-    if "unitary" in data:
-        unitary = unitary_from_json(data["unitary"])
-    for key, least in (("modes", 1), ("photons", 1), ("num_bins", 2)):
-        _check_int(key, data[key], least)
-    if data.get("haar_seed") is not None:
-        _check_int("haar_seed", data["haar_seed"], 0)
-    y = data.get("y", [])
-    if not isinstance(y, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in y):
-        raise ValueError(f"y must be a list of integers, got {y!r}")
-    seeds = data["seeds"]
-    if not isinstance(seeds, list) or any(not isinstance(s, str) for s in seeds):
-        raise ValueError(f'seeds must be a list of configuration strings like "1,0,2", got {seeds!r}')
+        raise ValueError(f"kind_of_file must mark a problem-instance payload, got {data.get('kind_of_file')!r}")
+    _check_fields(data, PROBLEM_FIELDS)
     return ProblemInstance(
         modes=data["modes"],
         photons=data["photons"],
         num_bins=data["num_bins"],
-        seeds=tuple(parse_configuration(s) for s in seeds),
-        y=tuple(y),
-        kind=str(data["kind"]),
-        f_id=str(data["f_id"]),
+        seeds=tuple(parse_configuration(s, "seeds") for s in data["seeds"]),
+        y=tuple(data.get("y", ())),
+        kind=data["kind"],
+        f_id=data["f_id"],
         haar_seed=data.get("haar_seed"),
-        unitary=unitary,
+        unitary=unitary_from_json(data["unitary"]) if "unitary" in data else None,
     )

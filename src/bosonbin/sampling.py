@@ -8,6 +8,7 @@ import numpy as np
 
 from .binning import BinPartition, MPBResult, bin_masses, mpb_from_vector
 from .distribution import BSDistribution
+from .rng import _check_int
 
 ALIAS_METHOD_THRESHOLD = 1 << 16
 
@@ -38,8 +39,7 @@ def chernoff_sample_size(
     Depends only on the bin count and the error budget, never on the mode or
     photon numbers.
     """
-    if not isinstance(num_bins, (int, np.integer)) or num_bins < 2:
-        raise ValueError(f"need an integer bin count >= 2, got {num_bins}")
+    _check_int("num_bins", num_bins, 2)
     if not 0 <= delta < epsilon < 1:
         raise ValueError(f"need 0 <= delta < epsilon < 1, got delta={delta}, epsilon={epsilon}")
     if not 0 <= gamma < eta < 1:
@@ -239,8 +239,7 @@ def draw_outcomes(
     The method affects how generator output is consumed, so it is part of a
     run's provenance.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_int("runs", runs, 1)
     if method not in ("auto", "cumulative", "alias"):
         raise ValueError(f"unknown sampling method {method!r}")
     if method == "auto":

@@ -2,6 +2,7 @@ import csv
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -539,6 +540,146 @@ def test_problem_refuses_a_bad_thread_count(tmp_path, capsys, threads):
     assert code == 2
     assert err.startswith("error: threads must")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["distribution", "mpb", "problem"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_a_limit_below_one_is_refused_as_input(tmp_path, capsys, command, limit):
+    # a limit is input, checked by name (exit 2), not a capacity refusal (exit 3)
+    unitary_args = ["--seed-config", "1,1,0,0", "--haar-seed", "1"]
+    argv = {
+        "distribution": ["distribution", *unitary_args, "--out", str(tmp_path / "dist.csv")],
+        "mpb": ["mpb", *unitary_args, "--bins", "2"],
+        "problem": ["problem", write_instance(tmp_path), "--solve"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--limit", limit)
+    assert code == 2
+    assert err.startswith("error: limit must be an integer >= 1")
+    assert out == ""
+
+
+MUTATIONS = (2.5, True, "x", [1], None, -1, {})
+# Every field of a problem file, down to a unitary entry's real part:
+# field -> (the key its refusals name, the mutations it takes). Each other
+# mutation is refused.
+COMMON_FIELDS = {
+    "schema_version": ("schema_version", ()),
+    "kind_of_file": ("kind_of_file", ()),
+    "modes": ("modes", ()),
+    "photons": ("photons", ()),
+    "num_bins": ("num_bins", ()),
+    "kind": ("kind", ()),
+    "f_id": ("f_id", ()),
+    "y": ("y", ([1],)),  # max takes any y
+    "y[0]": ("y", (-1,)),
+    "seeds": ("seeds", ()),
+    "seeds[0]": ("seeds", ()),
+}
+HAAR_FILE_FIELDS = {**COMMON_FIELDS, "haar_seed": ("haar_seed", ())}
+UNITARY_FILE_FIELDS = {
+    **COMMON_FIELDS,
+    "haar_seed": ("haar_seed", (None,)),  # null beside a unitary
+    "unitary": ("unitary", ()),
+    "unitary.schema_version": ("unitary.schema_version", ()),
+    "unitary.kind": ("unitary.kind", ()),
+    "unitary.modes": ("unitary.modes", ()),
+    "unitary.haar_seed": ("unitary.haar_seed", (None,)),
+    "unitary.tag": ("unitary.tag", ("x", None)),
+    "unitary.entries": ("unitary.entries", ()),
+    "unitary.entries[0]": ("unitary.entries", ()),
+    "unitary.entries[0][0]": ("unitary.entries", ()),
+    # 2.5 and -1 are numbers, but the matrix they leave is not unitary
+    "unitary.entries[0][0][0]": ("unitary.entries", ()),
+}
+MUTATION_CASES = [
+    pytest.param(source, field, value, id=f"{source}-{field}={json.dumps(value)}")
+    for source, fields in (("haar", HAAR_FILE_FIELDS), ("unitary", UNITARY_FILE_FIELDS))
+    for field in fields
+    for value in MUTATIONS
+]
+
+
+def set_field(data, field, value):
+    *path, last = [int(p) if p.isdigit() else p for p in re.findall(r"\w+", field)]
+    for key in path:
+        data = data[key]
+    data[last] = value
+
+
+def problem_file(tmp_path, source):
+    if source == "haar":
+        return Path(write_instance(tmp_path))
+    return Path(write_instance(tmp_path, haar_seed=None, unitary=haar_unitary_from_seed(15, 77)))
+
+
+@pytest.mark.parametrize("source,field,value", MUTATION_CASES)
+def test_problem_file_mutation_table(tmp_path, capsys, source, field, value):
+    key, taken = (HAAR_FILE_FIELDS if source == "haar" else UNITARY_FILE_FIELDS)[field]
+    path = problem_file(tmp_path, source)
+    data = json.loads(path.read_text())
+    set_field(data, field, value)
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "problem", str(mutated), "--solve")
+    if any(value == v and type(value) is type(v) for v in taken):
+        assert code == 0, err
+        expected = json.loads(run_cli(capsys, "problem", str(path), "--solve")[1])
+        got = json.loads(out)
+        assert (got["labels"], got["answer"]) == (expected["labels"], expected["answer"])
+        assert got["unitary_tag"] == (value if field == "unitary.tag" and value else "haar-77")
+        return
+    if (field, value) == ("unitary", {}):
+        key = "unitary.kind"  # an empty unitary lacks its kind
+    assert code == 2, err
+    assert err.startswith(f"error: {key} must"), err
+    assert len(err) < 300, err  # a long value, such as a whole unitary's entries, is abbreviated
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "source,field,key",
+    [
+        ("haar", "modes", "modes must be given"),
+        ("haar", "photons", "photons must be given"),
+        ("haar", "num_bins", "num_bins must be given"),
+        ("haar", "kind", "kind must be given"),
+        ("haar", "f_id", "f_id must be given"),
+        ("haar", "seeds", "seeds must be given"),
+        ("haar", "kind_of_file", "kind_of_file must mark"),
+        ("haar", "haar_seed", "haar_seed must be given"),
+        ("unitary", "unitary.modes", "unitary.modes must be given"),
+        ("unitary", "unitary.entries", "unitary.entries must be given"),
+        ("unitary", "unitary.kind", "unitary.kind must be 'unitary'"),
+    ],
+)
+def test_problem_file_refuses_a_missing_field_by_name(tmp_path, capsys, source, field, key):
+    data = json.loads(problem_file(tmp_path, source).read_text())
+    *path, last = field.split(".")
+    del (data[path[0]] if path else data)[last]
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "problem", str(mutated), "--solve")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key}"), err
+
+
+@pytest.mark.parametrize("text", ["1,x,0,0", "1,-1,1,1"])
+def test_a_malformed_seed_config_is_refused_by_name(capsys, text):
+    code, out, err = run_cli(capsys, "mpb", "--seed-config", text, "--haar-seed", "1", "--bins", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --seed-config must"), err
+
+
+@pytest.mark.parametrize("value", [[1], 2.5, "x"])
+def test_a_file_that_is_not_an_object_is_refused_by_name(tmp_path, capsys, value):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(value))
+    code, out, err = run_cli(capsys, "problem", str(path), "--solve")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: problem file must be a JSON object")
+    code, out, err = run_cli(capsys, "mpb", "--seed-config", "1,1,0,0", "--unitary-file", str(path), "--bins", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unitary must be a JSON object")
 
 
 def test_experiment_rejects_unknown_name(capsys):

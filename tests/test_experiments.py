@@ -13,7 +13,6 @@ from bosonbin.experiments import (
     EXPERIMENTS,
     RUN_FIELDS,
     ExperimentConfig,
-    _fits,
     _mpb_scan,
     report_fingerprint,
     run_experiment,
@@ -21,6 +20,7 @@ from bosonbin.experiments import (
 from bosonbin.fock import enumerate_configurations
 from bosonbin.io import write_json
 from bosonbin.linalg import haar_unitary_from_seed
+from bosonbin.rng import _fits
 
 GOLDEN = Path(__file__).parent / "data" / "scan_fingerprints.json"
 SCAN_EXPERIMENTS = sorted(set(EXPERIMENTS) - {"ryser_benchmark"})
@@ -146,8 +146,8 @@ def test_ryser_benchmark_quick_is_smaller():
         ("ryser_benchmark", dict(n_range=(9, 6)), "n_lo <= n_hi"),
         ("ryser_benchmark", dict(n_range=(0, 3)), "1 <= n_lo"),
         ("ryser_benchmark", dict(repeats=0), "repeats"),
-        ("mpb_seed_scan", dict(seed_limit=0), "seed_limit must be >= 1"),
-        ("maxprob_scaling", dict(seed_sample=0), "seed_sample must be >= 1"),
+        ("mpb_seed_scan", dict(seed_limit=0), "seed_limit must be an integer >= 1"),
+        ("maxprob_scaling", dict(seed_sample=0), "seed_sample must be an integer >= 1"),
         ("bin_fraction", dict(photon_list=()), "photon_list must not be empty"),
         ("pmax_histogram", dict(bin_list=()), "bin_list must not be empty"),
         ("gap_fraction", dict(epsilon_list=()), "epsilon_list must not be empty"),
