@@ -348,14 +348,12 @@ def _scan_experiment(
     results: CellResults = []
     for c_idx, (modes, photons) in enumerate(grid):
         space = enumerate_configurations(modes, photons, limit=eff["limit"])
-        outs: list[Any] = [None] * count
 
-        def work(u_idx: int) -> None:
+        def work(u_idx: int) -> Any:
             child = children[c_idx * count + u_idx]
-            outs[u_idx] = per_unitary(space, haar_unitary(modes, child).matrix, child)
+            return per_unitary(space, haar_unitary(modes, child).matrix, child)
 
-        _thread_map(work, count, eff["threads"])
-        results.append((space, outs))
+        results.append((space, _thread_map(work, count, eff["threads"])))
     return reduce(results)
 
 

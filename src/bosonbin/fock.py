@@ -51,15 +51,18 @@ def collision_free_count(modes: int, photons: int) -> int:
     return math.comb(modes, photons)
 
 
-def validate_configuration(configuration: Sequence[int], modes: int, photons: int) -> tuple[int, ...]:
-    """Check mode count, nonnegativity and photon total; return as a tuple."""
+def validate_configuration(
+    configuration: Sequence[int], modes: int, photons: int, key: str = "configuration"
+) -> tuple[int, ...]:
+    """Check mode count, nonnegativity and photon total; return as a tuple.
+    A refusal names `key`, the field checked, such as "seeds[2]"."""
     t = tuple(int(v) for v in configuration)
     if len(t) != modes:
-        raise ValueError(f"configuration has {len(t)} modes, expected {modes}")
+        raise ValueError(f"{key} has {len(t)} modes, expected {modes}")
     if any(v < 0 for v in t):
-        raise ValueError(f"occupations must be nonnegative, got {t}")
+        raise ValueError(f"{key} must hold nonnegative occupations, got {t}")
     if sum(t) != photons:
-        raise ValueError(f"configuration sums to {sum(t)}, expected {photons}")
+        raise ValueError(f"{key} sums to {sum(t)}, expected {photons}")
     return t
 
 

@@ -146,9 +146,8 @@ class ProblemInstance:
         registry = FUNCTIONS if self.kind == "function" else PREDICATES
         if self.f_id not in registry:
             raise ValueError(f"f_id must name a {self.kind}: {', '.join(registry)}; got {self.f_id!r}")
-        object.__setattr__(
-            self, "seeds", tuple(validate_configuration(s, self.modes, self.photons) for s in self.seeds)
-        )
+        seeds = [validate_configuration(s, self.modes, self.photons, f"seeds[{i}]") for i, s in enumerate(self.seeds)]
+        object.__setattr__(self, "seeds", tuple(seeds))
         object.__setattr__(self, "y", tuple(int(v) for v in self.y))
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
@@ -228,17 +227,14 @@ def evaluate_images(
         return ImageVector(labels=tuple(r.label for r in diagnostics), diagnostics=diagnostics)
     space = enumerate_configurations(modes, photon_count, limit=limit)
     partition = make_partition(space.size, num_bins)
-    results: list[MPBResult | None] = [None] * len(seeds)
 
-    def work(i: int) -> None:
+    def work(i: int) -> MPBResult:
         dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
         if mode == "exact":
-            results[i] = mpb_from_vector(bin_masses(dist.probabilities, partition))
-        else:
-            results[i], _ = estimate_mpb(dist, partition, plan, children[i])
+            return mpb_from_vector(bin_masses(dist.probabilities, partition))
+        return estimate_mpb(dist, partition, plan, children[i])[0]
 
-    _thread_map(work, len(seeds), threads)
-    diagnostics = tuple(results)  # type: ignore[arg-type]
+    diagnostics = tuple(_thread_map(work, len(seeds), threads))
     return ImageVector(labels=tuple(r.label for r in diagnostics), diagnostics=diagnostics)
 
 

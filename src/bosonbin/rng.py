@@ -7,10 +7,12 @@ on global state or on thread scheduling.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+import threading
+from typing import Any, Callable, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 def generator(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -90,12 +92,33 @@ def _check_fields(data: dict, fields: dict[str, tuple[Any, int | None, bool | No
             _check(prefix + key, data[key], example, least)
 
 
-def _thread_map(fn: Callable[[int], None], count: int, threads: int) -> None:
-    """fn(i) for each index; results must be written by index so thread
-    scheduling cannot reorder anything observable."""
+def _thread_map(fn: Callable[[int], T], count: int, threads: int) -> list[T]:
+    """[fn(0), ..., fn(count - 1)], run on up to `threads` threads; slots
+    are filled by index, so thread scheduling cannot reorder anything
+    observable. If calls raise, the exception of the lowest failing index
+    is raised once the started calls have ended; no index is started after
+    a failure is seen (every unclaimed index is above the failed one).
+
+    Plain threads, not concurrent.futures: importing that (with logging
+    and queue) would lengthen every CLI process's start (README, CLI)."""
     if threads <= 1:
-        for i in range(count):
-            fn(i)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, range(count)))
+        return [fn(i) for i in range(count)]
+    results: list[Any] = [None] * count
+    errors: dict[int, BaseException] = {}
+    indices = iter(range(count))  # each next() is one atomic claim
+
+    def worker() -> None:
+        while not errors and (i := next(indices, count)) < count:
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:  # raised again below, in the caller's thread
+                errors[i] = exc
+
+    pool = [threading.Thread(target=worker) for _ in range(min(threads, count))]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -554,8 +554,48 @@ def test_a_limit_below_one_is_refused_as_input(tmp_path, capsys, command, limit)
     }[command]
     code, out, err = run_cli(capsys, *argv, "--limit", limit)
     assert code == 2
-    assert err.startswith("error: limit must be an integer >= 1")
+    assert err.startswith("error: --limit must be an integer >= 1")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("mpb", "--haar-seed", "-1"),
+        ("distribution", "--haar-seed", "-1"),
+        ("mpb", "--rng-seed", "-3"),
+        ("problem", "--rng-seed", "-3"),
+        ("mpb", "--bins", "0"),
+        ("mpb", "--bins", "1"),
+    ],
+)
+def test_an_option_refusal_names_the_option(tmp_path, capsys, command, option, value):
+    # these named the library's parameter (seed, num_bins) before; the
+    # option given last overrides the valid one given first
+    unitary_args = ["--seed-config", "1,1,0,0", "--haar-seed", "1"]
+    argv = {
+        "distribution": ["distribution", *unitary_args, "--out", str(tmp_path / "dist.csv")],
+        "mpb": ["mpb", *unitary_args, "--mode", "sampled", "--rng-seed", "1", "--bins", "2"],
+        "problem": ["problem", write_instance(tmp_path), "--solve", "--mode", "sampled"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, option, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} must be an integer >= "), err
+
+
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize(
+    "seed,refusal",
+    [("1,1", "has 2 modes, expected 15"), ("1,1" + ",0" * 13, "sums to 2, expected 3")],
+)
+def test_problem_file_names_a_seed_of_the_wrong_shape(tmp_path, capsys, index, seed, refusal):
+    path = Path(write_instance(tmp_path))
+    data = json.loads(path.read_text())
+    data["seeds"][index] = seed
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "problem", str(path), "--solve")
+    assert (code, out) == (2, "")
+    assert err == f"error: seeds[{index}] {refusal}\n"
 
 
 MUTATIONS = (2.5, True, "x", [1], None, -1, {})
@@ -754,3 +794,87 @@ def test_console_script_smoke(tmp_path):
     exe = shutil.which("bosonbin")
     assert exe, "console script should be installed with the package"
     check([exe])
+
+
+# A command-line run (`python -m bosonbin.cli`, the installed script) flushes
+# its output and ends with os._exit instead of interpreter teardown.
+
+
+def module_env():
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # output to a file or pipe stays in the buffer until the end
+    checkout = str(Path(bosonbin.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [checkout, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "bosonbin.cli", *argv], env=module_env(), timeout=120, **kwargs
+    )
+
+
+def test_importing_the_cli_loads_no_executor():
+    # concurrent.futures would bring logging, queue and more into every call
+    code = "import sys, bosonbin.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=module_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_a_command_line_run_writes_its_whole_output_to_a_file(tmp_path, capsys):
+    instance = write_instance(tmp_path)
+    expected = run_cli(capsys, "problem", instance, "--solve")[1]
+    stdout = tmp_path / "stdout"
+    with open(stdout, "wb") as handle:  # a file, so stdout is block-buffered
+        result = run_module(
+            "problem", instance, "--solve", "--out", str(tmp_path / "report.json"),
+            stdout=handle, stderr=subprocess.PIPE,
+        )
+    assert result.returncode == 0, result.stderr
+    assert stdout.read_text() == (tmp_path / "report.json").read_text() == expected
+    assert result.stderr == b""
+
+
+def test_a_command_line_experiment_writes_complete_reports(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL["gap_fraction"], "unitary_count": 3}))
+    argv = ["experiment", "gap_fraction", "--config", str(config), "--master-seed", "4", "--quick", "--threads", "2"]
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "in_process"))[0] == 0
+    result = run_module(*argv, "--out", str(tmp_path / "module"), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    written = sorted(p.name for p in (tmp_path / "module").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    assert [f"wrote {tmp_path / 'module' / name}" for name in written] == sorted(result.stdout.splitlines()[:-1])
+    for name in written:
+        a, b = ((tmp_path / d / name).read_text() for d in ("in_process", "module"))
+        if name.endswith(".json"):  # the reports differ only in their timing
+            a, b = ({k: v for k, v in json.loads(t).items() if k not in ("started_at", "wall_seconds")} for t in (a, b))
+        assert a == b, name
+
+
+def test_a_command_line_refusal_keeps_its_exit_code(tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"modes": ')
+    refused = run_module("problem", str(malformed), "--solve", capture_output=True, text=True)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.startswith("error: "), refused.stderr
+    too_big = run_module(
+        "problem", write_instance(tmp_path), "--solve", "--mode", "sampled", "--rng-seed", "1", "--limit", "100",
+        capture_output=True, text=True,
+    )
+    assert (too_big.returncode, too_big.stdout) == (3, "")
+    assert too_big.stderr.startswith("error: "), too_big.stderr
+
+
+def test_a_command_line_run_that_cannot_flush_does_not_exit_0(tmp_path):
+    # the reader is gone before the buffered output is flushed at the end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bosonbin.cli", "problem", write_instance(tmp_path), "--solve"],
+        env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith(b"error: [Errno 32] Broken pipe"), err
