@@ -279,13 +279,10 @@ def _mode_tables(matrix: np.ndarray, columns: np.ndarray, plan: ClassPlan) -> tu
         if not f:
             continue
         lists, inverse = _distinct_rows(local[:, chosen].reshape(-1, f), len(used))
-        # `_expand` multiplies a lone column of a one-entry table in place,
-        # which rounds unlike a wider block: it gets a twin
-        twin = np.concatenate([lists, lists]) if len(lists) == 1 else lists
         values = np.empty((len(members), len(lists)), dtype=sums.dtype)
         for k, c in enumerate(members):  # a class at a time: all of an f at once kept 1.4 MB more resident
             fixed = _weights(matrix[np.array(plan.classes[c][0])][:, used], plan.gram)  # rows F over the used modes
-            values[k] = _expand(fixed, twin, steps, fermion)[0, : len(lists)]
+            values[k] = _expand(fixed, lists, steps, fermion)[0]
         e[f] = (values, inverse.reshape(len(columns), -1).T)
     return local, len(used), sums, e
 

@@ -12,7 +12,6 @@ import os
 import sys
 from dataclasses import asdict
 
-from .binning import make_partition
 from .distribution import full_distribution
 from .experiments import ExperimentConfig, EXPERIMENTS, run_experiment
 from .fock import CapacityError, DEFAULT_ENUMERATION_LIMIT, parse_configuration
@@ -25,7 +24,7 @@ from .linalg import (
 )
 from .problems import decide, evaluate_images, instance_from_json, solve_function
 from .rng import _check, _check_int, generator
-from .sampling import chernoff_sample_size, estimate_mpb
+from .sampling import SamplePlan, chernoff_sample_size
 
 
 def _add_unitary_args(parser: argparse.ArgumentParser) -> None:
@@ -71,9 +70,24 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sample_plan(args: argparse.Namespace, num_bins: int) -> SamplePlan | None:
+    """The Chernoff plan of a sampled call, or None in exact mode."""
+    if args.mode == "exact":
+        return None
+    if args.rng_seed is None:
+        raise ValueError("sampled mode needs --rng-seed")
+    return chernoff_sample_size(num_bins, args.epsilon, args.delta, args.eta, args.gamma)
+
+
 def cmd_mpb(args: argparse.Namespace) -> int:
     seed = parse_configuration(args.seed_config, "--seed-config")
     unitary = _resolve_unitary(args, len(seed))
+    plan = _sample_plan(args, args.bins)
+    # the one seed draws from --rng-seed itself
+    rngs = None if plan is None else [generator(args.rng_seed)]
+    images = evaluate_images(
+        unitary, [seed], args.bins, mode=args.mode, plan=plan, rngs=rngs, limit=args.limit
+    )
     payload = {
         "schema_version": 1,
         "modes": len(seed),
@@ -83,24 +97,9 @@ def cmd_mpb(args: argparse.Namespace) -> int:
         "unitary_tag": unitary.tag,
         "mode": args.mode,
     }
-    if args.mode == "exact":
-        result = evaluate_images(unitary, [seed], args.bins, limit=args.limit).diagnostics[0]
-    else:
-        if args.rng_seed is None:
-            raise ValueError("sampled mode needs --rng-seed")
-        dist = full_distribution(unitary, seed, limit=args.limit)
-        partition = make_partition(dist.space.size, args.bins)
-        plan = chernoff_sample_size(args.bins, args.epsilon, args.delta, args.eta, args.gamma)
-        result, _ = estimate_mpb(dist, partition, plan, generator(args.rng_seed))
-        payload.update(
-            epsilon=plan.epsilon,
-            delta=plan.delta,
-            eta=plan.eta,
-            gamma=plan.gamma,
-            n_min=plan.n_min,
-            rng_seed=args.rng_seed,
-        )
-    payload.update(asdict(result))
+    if plan is not None:
+        payload.update({k: v for k, v in asdict(plan).items() if k != "num_bins"}, rng_seed=args.rng_seed)
+    payload.update(asdict(images.diagnostics[0]))
     _emit(payload, args.out)
     return 0
 
@@ -112,22 +111,16 @@ def cmd_problem(args: argparse.Namespace) -> int:
     if args.decide and instance.kind != "decision":
         raise ValueError(f"--decide needs a decision instance, got kind {instance.kind!r}")
     unitary = instance.resolve_unitary()
-    plan = None
-    rng = None
-    if args.mode == "sampled":
-        if args.rng_seed is None:
-            raise ValueError("sampled mode needs --rng-seed")
-        plan = chernoff_sample_size(
-            instance.num_bins, args.epsilon, args.delta, args.eta, args.gamma
-        )
-        rng = generator(args.rng_seed)
+    plan = _sample_plan(args, instance.num_bins)
+    # seed i draws from child i of --rng-seed
+    rngs = None if plan is None else generator(args.rng_seed).spawn(len(instance.seeds))
     images = evaluate_images(
         unitary,
         instance.seeds,
         instance.num_bins,
         mode=args.mode,
         plan=plan,
-        rng=rng,
+        rngs=rngs,
         threads=args.threads,
         limit=args.limit,
     )
@@ -239,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Integer options checked before any work, by the name they are typed with.
-OPTION_FLOORS = {"haar_seed": 0, "rng_seed": 0, "bins": 2, "limit": 1}
+OPTION_FLOORS = {"haar_seed": 0, "rng_seed": 0, "bins": 2, "limit": 1, "threads": 1, "unitary_count": 1}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -132,7 +132,6 @@ def _step(
     gathers: tuple,
     acc: np.ndarray,
     fermion: bool,
-    single: bool = False,
 ) -> None:
     """acc = the coefficients of a step's rows: each position p takes the
     row of w its weights name times the coefficient of its predecessor (prev)."""
@@ -144,7 +143,7 @@ def _step(
         prev.take(step.predecessors[:, p], axis=0, out=b[p], mode="clip")
     if fermion:
         _laplace_signs(a, k)
-    _add_products(a, b, acc, single)
+    _add_products(a, b, acc)
 
 
 def _laplace_signs(a: np.ndarray, k: int) -> None:
@@ -154,25 +153,16 @@ def _laplace_signs(a: np.ndarray, k: int) -> None:
     np.negative(a[k % 2 :: 2], out=a[k % 2 :: 2])
 
 
-def _add_products(
-    a: Sequence[np.ndarray], b: Sequence[np.ndarray], acc: np.ndarray, single: bool = False
-) -> None:
+def _add_products(a: Sequence[np.ndarray], b: Sequence[np.ndarray], acc: np.ndarray) -> None:
     """acc = sum over positions p of a[p] * b[p], added in order of p, for
     (rows, block) arrays b[p] and a[p] (or one row of weights for all); b is
-    overwritten. The last b[p] may have fewer rows: it adds to the first
-    rows of acc.
-
-    Each product goes to the slot of b that the one before it has spent:
-    numpy rounds a one-element complex product without FMA when `out` is an
-    input, so only where the full-table kernel multiplied one-element
-    columns in place (`single`: a last degree of one entry, which is sets of
-    N = M modes in one column) are they multiplied in place. (Elsewhere a
-    one-element column is one of M = 1 mode, whose later positions all
-    repeat and weigh zero.)
+    overwritten but for its last array. The last b[p] may have fewer rows:
+    it adds to the first rows of acc. Each product goes to the slot of b
+    that the one before it has spent, never to one of its inputs.
     """
     np.multiply(a[0], b[0], out=acc)
     for p in range(1, len(a)):
-        product = b[p] if single else b[p - 1]
+        product = b[p - 1]
         if len(b[p]) < len(acc):  # the last term, over the first rows only
             product, acc = product[: len(b[p])], acc[: len(b[p])]
         np.multiply(a[p], b[p], out=product)
@@ -208,10 +198,8 @@ def _expand(
     itself, for the rows i < below[m] that do not end in m. Position
     p < N - 1 takes the degree-(N - 1) step's weight of row i, gathered once
     for every block, and row i's predecessor offset to the rows that end in
-    m. Each product goes to a buffer that is not its input
-    (`_add_products`), except where the full-table kernel multiplied
-    one-element columns in place, so every coefficient keeps that kernel's
-    bits.
+    m. Each product goes to a buffer that is not one of its inputs
+    (`_add_products`).
 
     Calls, not arithmetic, bound narrow blocks: at (18,4) the head takes
     modes 0-9 and leaves 8 blocked modes of 3 N - 2 calls each, so a block
@@ -238,12 +226,11 @@ def _expand(
     a_buf, b_buf = gathers
     w = np.zeros((modes + 1, block), dtype=weights.dtype)  # row M is the zero weight
     coef = [np.ones((1, block), dtype=weights.dtype)]  # degree 0
-    single = tables.size * block == 1  # a last degree of one entry (sets of N = M modes) is all head
     # degrees 1..N - 1, then the rows of the first last modes of degree N
     for k, step in enumerate((*tables.steps[1:], tables.head), start=1):
         w[:modes] = weights[:modes, columns[:, k - 1]]
         coef.append(_view(coefs[k - 1], len(step.weights), block))
-        _step(w, coef[k - 1], step, gathers, coef[k], fermion, single=single and k == len(tables.steps))
+        _step(w, coef[k - 1], step, gathers, coef[k], fermion)
     # the rest of degree N, one block per last mode
     prev, out = coef[-2], _view(coefs[-1], tables.size, block)
     last = tables.steps[-1].weights

@@ -1,7 +1,6 @@
 """Unitary generation, permanents, determinants and seed/outcome submatrices."""
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -14,6 +13,12 @@ from . import rng as rng_policy
 
 UNITARITY_TOL = 1e-10
 RYSER_MAX_DIM = 30
+# Columns whose subsets `permanent_ryser` tables at once. Building the table
+# costs about two steps of the walk, which at 10 columns has only 16 steps at
+# n = 14, so `ryser_benchmark`'s n = 15 per-photon ratio read 1.82-1.91 in five
+# runs on a 2-vCPU Xeon; at 9 it read 1.89-1.99 in seven, at about 50 ms for
+# n = 20 either way.
+RYSER_TABLE_COLUMNS = 9
 NAIVE_MAX_DIM = 9
 
 
@@ -34,6 +39,8 @@ def unitarity_deviation(matrix: Any) -> float:
 
 
 def _matrix_digest(m: np.ndarray) -> str:
+    import hashlib  # here, so that importing the package does not load it
+
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:12]
 
 
@@ -98,46 +105,68 @@ def identity_unitary(modes: int) -> UnitaryMatrix:
     return UnitaryMatrix(np.eye(modes, dtype=np.complex128), tag="identity")
 
 
-def permanent_ryser(matrix: Any, max_dim: int = RYSER_MAX_DIM) -> complex:
-    """Permanent by Ryser's inclusion-exclusion in Gray-code order.
+def permanent_ryser(matrix: Any) -> complex:
+    """Permanent by Ryser's inclusion-exclusion, blocked over the columns.
 
-    Runs in O(n * 2^n); one column is added or removed from the running row
-    sums per step. Summation order is fixed, so results are bit-reproducible.
+    per(A) = (-1)^n sum over column subsets S of (-1)^|S| prod_i r_i(S),
+    r(S) the row sums of A over S. The row sums of every subset of the low
+    L = min(n, RYSER_TABLE_COLUMNS) columns, and their signs, are tabled
+    once by doubling. The high n - L columns are walked in Gray-code order,
+    one column added to or removed from their running row sums per step, and
+    each step adds the signed sum, over the low subsets, of the products of
+    the table's rows plus the running sums. O(n 2^n) in 2^(n - L) steps of
+    numpy work; the summation order is fixed, so results are bit-reproducible.
     """
     m = _as_matrix(matrix)
     n = m.shape[0]
     if n < 1:
         raise ValueError("matrix must be at least 1x1")
-    if n > max_dim:
-        raise CapacityError(f"permanent of a {n}x{n} matrix exceeds the {max_dim} limit")
+    if n > RYSER_MAX_DIM:
+        raise CapacityError(f"permanent of a {n}x{n} matrix exceeds the {RYSER_MAX_DIM} limit")
     cols = np.ascontiguousarray(m.T, dtype=np.complex128)
-    row_sums = np.zeros(n, dtype=np.complex128)
+    low = min(n, RYSER_TABLE_COLUMNS)
+    table = _aligned((n, 1 << low))  # column k: row sums of low subset k
+    table[:, 0] = 0.0
+    signs = np.ones(1 << low)  # (-1)^|k|
+    for j in range(low):
+        half = 1 << j
+        np.add(table[:, :half], cols[j][:, None], out=table[:, half : 2 * half])
+        np.negative(signs[:half], out=signs[half : 2 * half])
+    row_sums = np.zeros((n, 1), dtype=np.complex128)  # of the current high subset
+    sums, products = _aligned(table.shape), _aligned(table.shape[1:])
     total = 0.0 + 0.0j
-    sign = 1.0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        if (k ^ (k >> 1)) >> j & 1:
-            row_sums += cols[j]
-        else:
-            row_sums -= cols[j]
-        sign = -sign
-        total += sign * row_sums.prod()
-    if n % 2:
-        total = -total
-    return complex(total)
+    for k in range(1 << (n - low)):
+        if k:
+            j = (k & -k).bit_length() - 1
+            row_sums[:, 0] += cols[low + j] if (k ^ (k >> 1)) >> j & 1 else -cols[low + j]
+            np.negative(signs, out=signs)  # one more or one fewer high column
+        np.add(table, row_sums, out=sums).prod(axis=0, out=products)
+        total += np.multiply(products, signs, out=products).sum()
+    return complex(-total if n % 2 else total)
+
+
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """np.empty of complex128 that starts on a 64-byte boundary. numpy's
+    complex add and product ran about 20% slower into a buffer that did not,
+    and where malloc puts a buffer depends on what the process allocated
+    before, which moved `ryser_benchmark`'s per-photon ratios as much."""
+    size = math.prod(shape) * 16
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(np.complex128).reshape(shape)
 
 
 _PERMUTATION_CACHE: dict[int, np.ndarray] = {}
 
 
-def permanent_naive(matrix: Any, max_dim: int = NAIVE_MAX_DIM) -> complex:
+def permanent_naive(matrix: Any) -> complex:
     """Permanent straight from the n! definition; oracle for small n."""
     m = _as_matrix(matrix)
     n = m.shape[0]
     if n < 1:
         raise ValueError("matrix must be at least 1x1")
-    if n > max_dim:
-        raise CapacityError(f"naive permanent is limited to n <= {max_dim}, got {n}")
+    if n > NAIVE_MAX_DIM:
+        raise CapacityError(f"naive permanent is limited to n <= {NAIVE_MAX_DIM}, got {n}")
     perms = _PERMUTATION_CACHE.get(n)
     if perms is None:
         perms = np.asarray(list(permutations(range(n))), dtype=np.intp)

@@ -191,7 +191,7 @@ def evaluate_images(
     num_bins: int,
     mode: str = "exact",
     plan: SamplePlan | None = None,
-    rng: np.random.Generator | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
     statistics: "str | ParticleStatistics" = ParticleStatistics.BOSON,
     threads: int = 1,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
@@ -202,8 +202,8 @@ def evaluate_images(
     seeds, without enumerating the space, unless `kernel_is_cheaper` for
     that many seeds: then, as in mode "sampled", the space is enumerated
     once at `limit` and every seed runs the kernel over it, on `threads`
-    threads. "sampled" draws plan.n_min runs per seed (child generators
-    split by seed index, so the result is independent of thread scheduling).
+    threads. "sampled" draws plan.n_min runs for seed i from rngs[i], one
+    generator per seed, so the result is independent of thread scheduling.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -214,11 +214,12 @@ def evaluate_images(
     modes, photon_count = _as_matrix(unitary).shape[0], photons.pop()
     stats = ParticleStatistics.from_string(statistics)
     if mode == "sampled":
-        if plan is None or rng is None:
-            raise ValueError("sampled mode needs a SamplePlan and a generator")
+        if plan is None or rngs is None:
+            raise ValueError("sampled mode needs a SamplePlan and rngs, one generator per seed")
         if plan.num_bins != num_bins:
             raise ValueError(f"plan covers {plan.num_bins} bins, requested {num_bins}")
-        children = rng.spawn(len(seeds))
+        if len(rngs) != len(seeds):
+            raise ValueError(f"rngs holds {len(rngs)} generators for {len(seeds)} seeds")
     if mode == "exact" and not kernel_is_cheaper(modes, photon_count, num_bins, stats, limit, len(seeds)):
         classes = ClassPlan(modes, photon_count, (num_bins,), stats, limit)
         columns = [np.repeat(np.arange(modes), validate_configuration(s, modes, photon_count)) for s in seeds]
@@ -232,7 +233,7 @@ def evaluate_images(
         dist = full_distribution(unitary, seeds[i], statistics=stats, space=space)
         if mode == "exact":
             return mpb_from_vector(bin_masses(dist.probabilities, partition))
-        return estimate_mpb(dist, partition, plan, children[i])[0]
+        return estimate_mpb(dist, partition, plan, rngs[i])[0]
 
     diagnostics = tuple(_thread_map(work, len(seeds), threads))
     return ImageVector(labels=tuple(r.label for r in diagnostics), diagnostics=diagnostics)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from bosonbin.fock import (
     unrank,
 )
 from bosonbin.linalg import haar_unitary_from_seed, unitary_to_json
-from bosonbin.problems import ProblemInstance, instance_to_json
+from bosonbin.problems import ProblemInstance, evaluate_images, instance_to_json
+from bosonbin.rng import generator
+from bosonbin.sampling import ALIAS_METHOD_THRESHOLD, chernoff_sample_size
 
 PINNED_SEED = "1,1,1,0,0,0,0,0,0,0,0"
 
@@ -135,6 +138,31 @@ def test_mpb_sampled_requires_rng_seed(capsys):
     )
     assert code == 2
     assert "rng-seed" in err
+
+
+@pytest.mark.parametrize(
+    "seed_config,alias",
+    # a space below ALIAS_METHOD_THRESHOLD (inverse CDF) and one above it (alias tables)
+    [(PINNED_SEED, False), ("1,0,2,0,0,1" + ",0" * 29, True)],
+)
+@pytest.mark.parametrize("bins,rng_seed", [(2, 0), (4, 3), (7, 11)])
+def test_mpb_sampled_is_evaluate_images_of_one_seed(capsys, seed_config, alias, bins, rng_seed):
+    seed = tuple(int(v) for v in seed_config.split(","))
+    assert (space_size(len(seed), sum(seed)) > ALIAS_METHOD_THRESHOLD) == alias
+    unitary = haar_unitary_from_seed(len(seed), 11)
+    plan = chernoff_sample_size(bins, 0.1, 0.05, 0.05, 0.01)
+    # `mpb` seeds its one seed's generator with --rng-seed itself
+    images = evaluate_images(unitary, [seed], bins, mode="sampled", plan=plan, rngs=[generator(rng_seed)])
+    code, out, _ = run_cli(
+        capsys,
+        "mpb", "--seed-config", seed_config, "--haar-seed", "11", "--bins", str(bins),
+        "--mode", "sampled", "--rng-seed", str(rng_seed),
+        "--epsilon", "0.1", "--delta", "0.05", "--eta", "0.05", "--gamma", "0.01",
+    )
+    assert code == 0
+    payload = stdout_json(out)
+    expected = asdict(images.diagnostics[0])
+    assert {key: payload[key] for key in expected} == expected  # floats round-trip through JSON
 
 
 def test_mpb_rejects_conflicting_unitary_sources(capsys):
@@ -390,10 +418,19 @@ def test_experiment_names_an_empty_or_zero_setting(tmp_path, capsys, experiment,
 
 
 @pytest.mark.parametrize(
-    "config,argv",
-    [({"threads": "2"}, []), ({"threads": 1.5}, []), ({"threads": True}, []), ({}, ["--threads", "-3"])],
+    "config,argv,name",
+    [
+        ({"threads": "2"}, [], "threads"),
+        ({"threads": 1.5}, [], "threads"),
+        ({"threads": True}, [], "threads"),
+        ({}, ["--threads", "-3"], "--threads"),
+        ({}, ["--threads", "0"], "--threads"),
+        ({}, ["--unitary-count", "0"], "--unitary-count"),
+        # a config file's key keeps its own name
+        ({"unitary_count": 0}, [], "unitary_count"),
+    ],
 )
-def test_experiment_refuses_a_bad_thread_count(tmp_path, capsys, config, argv):
+def test_experiment_refuses_a_bad_thread_count(tmp_path, capsys, config, argv, name):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"modes": 5, "photons": 2, "unitary_count": 1, **config}))
     out_dir = tmp_path / "reports"
@@ -403,7 +440,7 @@ def test_experiment_refuses_a_bad_thread_count(tmp_path, capsys, config, argv):
         "--out", str(out_dir), *argv,
     )
     assert code == 2
-    assert err.startswith("error: threads must")
+    assert err.startswith(f"error: {name} must be an integer >= 1"), err
     assert not out_dir.exists()
 
 
@@ -538,7 +575,7 @@ def test_problem_takes_a_null_nested_haar_seed(tmp_path, capsys):
 def test_problem_refuses_a_bad_thread_count(tmp_path, capsys, threads):
     code, out, err = run_cli(capsys, "problem", write_instance(tmp_path), "--solve", "--threads", threads)
     assert code == 2
-    assert err.startswith("error: threads must")
+    assert err.startswith(f"error: --threads must be an integer >= 1, got {threads}")
     assert out == ""
 
 
@@ -821,6 +858,15 @@ def test_importing_the_cli_loads_no_executor():
         [sys.executable, "-c", code], env=module_env(), capture_output=True, text=True, timeout=120
     )
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    # only a digest tag of an explicit unitary needs it; numpy alone does not load it
+    code = "import sys, bosonbin.cli; print('hashlib' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=module_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_a_command_line_run_writes_its_whole_output_to_a_file(tmp_path, capsys):

@@ -393,8 +393,10 @@ PINNED_DIGESTS = {
     "distinguishable": "132974f6db5f93b1d1ac5f879930614b6366dfc287319daad1fcbbca4c4e4ce7",
     "18x4 boson block": "ff261964b39513b4e7fb75fc7e04bc96b4114f071b7a14eb6ab541c31bc9a878",
     "8x5 fermion block": "dc35263cc88f8bc5fc146f90f2d1f2e576e94e9a951f8d480b6182ee136b3e9c",
-    # a last degree of one entry, multiplied in place as the full tables did
-    "6x6 fermion": "1401c96fc091bc0d7b721812a2befd2f726be056ea53e785f58c73aa46e9c793",
+    # a last degree of one entry; re-pinned when its products stopped being
+    # taken in place: its one outcome moved by 1 ulp, from 1.0000000000000009
+    # (what `determinant` gives) to 1.000000000000001
+    "6x6 fermion": "e14b00406b70e165e5b4bb19ba5e072e9cf6ccecf7fe7f836139bcb19673f903",
     # the class route on a block of one seed; re-pinned when the route was
     # batched over seeds (the largest move of a mass: 1.7e-18), and when its
     # Gram and e_T tables were built once per call and its minors in one

@@ -227,8 +227,8 @@ def test_evaluate_images_sampled_mode_is_seeded():
     inst = make_instance()
     u = inst.resolve_unitary()
     plan = chernoff_sample_size(4, 0.1, 0.0, 0.05, 0.0)
-    a = evaluate_images(u, inst.seeds, 4, mode="sampled", plan=plan, rng=rng_policy.generator(5))
-    b = evaluate_images(u, inst.seeds, 4, mode="sampled", plan=plan, rng=rng_policy.generator(5))
+    a = evaluate_images(u, inst.seeds, 4, mode="sampled", plan=plan, rngs=rng_policy.generator(5).spawn(5))
+    b = evaluate_images(u, inst.seeds, 4, mode="sampled", plan=plan, rngs=rng_policy.generator(5).spawn(5))
     assert a.labels == b.labels
     assert a.diagnostics == b.diagnostics
     # wide exact margins at this size, so the sampled labels match the exact ones
@@ -240,15 +240,18 @@ def test_evaluate_images_sampled_mode_requires_plan_and_rng():
     inst = make_instance()
     u = inst.resolve_unitary()
     plan = chernoff_sample_size(4, 0.1, 0.0, 0.05, 0.0)
-    with pytest.raises(ValueError, match="sampled mode"):
+    rngs = rng_policy.generator(1).spawn(len(inst.seeds))
+    with pytest.raises(ValueError, match="sampled mode.*rngs"):
         evaluate_images(u, inst.seeds, 4, mode="sampled", plan=plan)
     with pytest.raises(ValueError, match="sampled mode"):
-        evaluate_images(u, inst.seeds, 4, mode="sampled", rng=rng_policy.generator(1))
+        evaluate_images(u, inst.seeds, 4, mode="sampled", rngs=rngs)
     bad_plan = chernoff_sample_size(2, 0.1, 0.0, 0.05, 0.0)
     with pytest.raises(ValueError, match="bins"):
-        evaluate_images(
-            u, inst.seeds, 4, mode="sampled", plan=bad_plan, rng=rng_policy.generator(1)
-        )
+        evaluate_images(u, inst.seeds, 4, mode="sampled", plan=bad_plan, rngs=rngs)
+    # one generator per seed, no fewer and no more
+    for wrong in (rngs[:-1], [*rngs, rng_policy.generator(2)], []):
+        with pytest.raises(ValueError, match=f"rngs holds {len(wrong)} generators for 5 seeds"):
+            evaluate_images(u, inst.seeds, 4, mode="sampled", plan=plan, rngs=wrong)
     with pytest.raises(ValueError, match="mode"):
         evaluate_images(u, inst.seeds, 4, mode="guess")
 
@@ -285,5 +288,17 @@ def test_evaluate_images_needs_seeds_of_one_photon_count(seeds, mode):
     plan = chernoff_sample_size(4, 0.1, 0.0, 0.05, 0.0)
     with pytest.raises(ValueError, match="one photon count"):
         evaluate_images(
-            make_instance().resolve_unitary(), seeds, 4, mode=mode, plan=plan, rng=rng_policy.generator(1)
+            make_instance().resolve_unitary(), seeds, 4, mode=mode, plan=plan,
+            rngs=rng_policy.generator(1).spawn(len(seeds)),
         )
+
+
+def test_sampled_diagnostics_do_not_depend_on_the_thread_count():
+    inst = make_instance()
+    u = inst.resolve_unitary()
+    plan = chernoff_sample_size(4, 0.1, 0.0, 0.05, 0.0)
+    serial, threaded = (
+        evaluate_images(u, inst.seeds, 4, mode="sampled", plan=plan, rngs=rng_policy.generator(8).spawn(5), threads=t)
+        for t in (1, 2)
+    )
+    assert serial == threaded
